@@ -31,6 +31,7 @@ from spanlab.metrics import (
     average_relative_error,
     cosine_metric,
     invariance_delta,
+    predict_instances,
 )
 from spanlab.models import (
     DeepSetsModel,
@@ -277,19 +278,24 @@ def write_manifest(out_dir, command, cfg):
 
 class _AveragedPredictor:
     """Permutation-averaged inference wrapper for the sampled-permutation
-    baseline."""
+    baseline.  Each call draws its orders from a fresh rng, so every set is
+    averaged over the same orders, whatever batch it is predicted in."""
 
     def __init__(self, model, seed):
         self.model = model
         self.seed = seed
 
-    def predict(self, x):
+    def predict_batch(self, x):
         rng = np.random.default_rng(seed_chain(self.seed, 9901))
         return self.model.predict_average(x, rng)
+
+    predict = predict_batch  # predict_average takes one set or a stack
 
 
 def evaluate_model(model, dataset, instances, model_kind, eval_seed=0):
     """Metric rows for a frozen model on held-out instances."""
+    if not instances:
+        raise ConfigError("eval: empty test split")
     task = dataset.header["task"]
     predictor = model
     if model_kind == "pisgd":
@@ -305,8 +311,8 @@ def evaluate_model(model, dataset, instances, model_kind, eval_seed=0):
                               **common))
     elif task == "spiked":
         cosines = [
-            cosine_metric(inst.label, predictor.predict(inst.elements))
-            for inst in instances
+            cosine_metric(inst.label, pred)
+            for inst, pred in zip(instances, predict_instances(predictor, instances))
         ]
         rows.append(MetricRow(metric="abs_cosine",
                               value=float(np.mean(cosines)), **common))
@@ -322,7 +328,7 @@ def evaluate_model(model, dataset, instances, model_kind, eval_seed=0):
     rng = np.random.default_rng(seed_chain(eval_seed, 9902))
     probe = instances[: min(50, len(instances))]
     for inst in probe:
-        deltas.append(invariance_delta(model, inst.elements, rng=rng).value)
+        deltas.append(invariance_delta(predictor, inst.elements, rng=rng).value)
     deltas = np.array(deltas)
     rows.append(MetricRow(metric="delta_median",
                           value=float(np.median(deltas)), **common))
@@ -382,8 +388,6 @@ def cmd_eval(cfg, out_dir, args):
         raise ConfigError("eval needs --checkpoint")
     model, _extra = load_checkpoint(args.checkpoint)
     dataset, _train, _val, test_insts = prepare_splits(cfg)
-    if not test_insts:
-        raise ConfigError("eval: empty test split")
     rows = evaluate_model(model, dataset, test_insts, cfg["model"]["kind"],
                           eval_seed=cfg.get("train", {}).get("seed", 0))
     aggregate_report(rows, out_dir)
@@ -465,8 +469,23 @@ def _run_sweep_trial(payload):
             "out_dir": str(out_dir)}
 
 
+def sweep_workers():
+    """Parallel trial processes: ``SPANLAB_THREADS`` (default 1), capped at
+    the CPU count."""
+    raw = os.environ.get("SPANLAB_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers <= 0:
+        raise ConfigError(
+            f"SPANLAB_THREADS must be a positive integer, got {raw!r}")
+    return min(workers, os.cpu_count() or 1)
+
+
 def cmd_sweep(cfg, out_dir, args):
     validate_config(cfg, require=("task", "model", "train", "sweep"))
+    workers = sweep_workers()
     grid = cfg["sweep"].get("grid", {})
     if not grid:
         raise ConfigError("sweep needs a non-empty grid")
@@ -477,7 +496,7 @@ def cmd_sweep(cfg, out_dir, args):
     payloads = [
         (cfg, tuple(zip(paths, combo)), str(out_dir)) for combo in combos
     ]
-    workers = int(os.environ.get("SPANLAB_THREADS", "1"))
+    out_dir.mkdir(parents=True, exist_ok=True)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -549,8 +568,8 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.setdefault("train", {})["seed"] = args.seed
+        # created by the subcommands that write to it
         out_dir = Path(args.out or cfg.get("out_dir") or "spanlab-out")
-        out_dir.mkdir(parents=True, exist_ok=True)
         handler = {
             "gen": cmd_gen,
             "train": cmd_train,

@@ -4,6 +4,10 @@ Includes the permutation-invariance statistic: the ratio of the standard
 deviation to the mean of a frozen model's predictions across random row
 permutations of one input set (max over output coordinates, with a flagged
 absolute-std fallback when the mean vanishes).
+
+Evaluation is batched: a metric predicts its whole instance list, and the
+invariance statistic all permuted copies of its set, with one
+``model.predict_batch`` call on a ``(B, n, d)`` stack.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "average_relative_error",
     "cosine_metric",
     "invariance_delta",
+    "predict_instances",
     "read_results_csv",
     "relative_error",
     "write_results_csv",
@@ -45,11 +50,17 @@ def relative_error(y, y_hat):
     return abs(y - y_hat) / abs(y)
 
 
+def predict_instances(model, instances):
+    """(len(instances), L) predictions for equal-shape sets, in one batch."""
+    return model.predict_batch(np.stack([inst.elements for inst in instances]))
+
+
 def average_relative_error(model, instances):
     """Mean relative error of scalar predictions over a dataset."""
+    preds = predict_instances(model, instances)
     errors = [
-        relative_error(inst.label[0], model.predict(inst.elements)[0])
-        for inst in instances
+        relative_error(inst.label[0], pred[0])
+        for inst, pred in zip(instances, preds)
     ]
     return float(np.mean(errors))
 
@@ -64,16 +75,15 @@ class DeltaResult:
 def invariance_delta(model, x, num_perms=20, rng=None):
     """Prediction spread across random row permutations of one set.
 
-    Per output coordinate: std/|mean| over ``num_perms`` permuted passes;
-    coordinates whose mean is within 1e-12 of zero report the absolute std
-    instead and set the fallback flag.
+    Per output coordinate: std/|mean| over ``num_perms`` permuted copies,
+    predicted as one batch; coordinates whose mean is within 1e-12 of zero
+    report the absolute std instead and set the fallback flag.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     x = np.asarray(x, dtype=np.float64)
-    preds = np.stack(
-        [model.predict(x[rng.permutation(x.shape[0])]) for _ in range(num_perms)]
-    )
+    perms = np.stack([rng.permutation(x.shape[0]) for _ in range(num_perms)])
+    preds = model.predict_batch(x[perms])
     # anchor on the first prediction so bit-identical passes give std == 0
     # exactly instead of picking up rounding from the mean
     shifted = preds - preds[0]
@@ -97,11 +107,11 @@ def invariance_delta(model, x, num_perms=20, rng=None):
 def ablation_fractions(model, instances):
     """Fractions of sets whose predicted digit equals the max digit, the
     last element's digit, or anything else.  Max wins exact ties."""
+    if any(inst.digits is None for inst in instances):
+        raise MetricError("ablation_fractions: instance lacks digit labels")
     counts = np.zeros(3)
-    for inst in instances:
-        if inst.digits is None:
-            raise MetricError("ablation_fractions: instance lacks digit labels")
-        pred = int(np.argmax(model.predict(inst.elements)))
+    for inst, scores in zip(instances, predict_instances(model, instances)):
+        pred = int(np.argmax(scores))
         top = max(inst.digits)
         last = inst.digits[-1]
         if pred == top:

@@ -364,15 +364,17 @@ class PiSgdModel(_ModelBase):
         return self.forward(x.permute_rows(np.asarray(perms, dtype=np.int64)))
 
     def predict_samples(self, x, rng):
-        """Predictions for ``permutations`` fresh uniform row orders."""
+        """Predictions for ``permutations`` fresh uniform row orders, in one
+        forward: (permutations, L) for an (n,d) set, or (B, permutations, L)
+        for a (B,n,d) stack, whose sets are all read in the same orders."""
         x = np.asarray(x, dtype=np.float64)
-        preds = []
-        for _ in range(self.permutations):
-            preds.append(self.predict(x[rng.permutation(x.shape[0])]))
-        return np.stack(preds)
+        n, d = x.shape[-2:]
+        perms = np.stack([rng.permutation(n) for _ in range(self.permutations)])
+        preds = self.predict_batch(x[..., perms, :].reshape((-1, n, d)))
+        return preds.reshape(x.shape[:-2] + (self.permutations, self.out_dim))
 
     def predict_average(self, x, rng):
-        return self.predict_samples(x, rng).mean(axis=0)
+        return self.predict_samples(x, rng).mean(axis=-2)
 
     def parameters(self):
         params = {f"lstm.{k}": v for k, v in self.lstm.parameters().items()}

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spanlab.cli import (
     main,
     model_from_config,
     prepare_splits,
+    sweep_workers,
     validate_config,
 )
 from spanlab.tasks import load_dataset
@@ -33,6 +35,15 @@ def percentile_config(tmp_path, **train_overrides):
                   "sinkhorn_iters": 6, "input_scale": 0.1, "seed": 1},
         "train": train,
         "out_dir": str(tmp_path / "run"),
+    }
+
+
+def small_sweep_config():
+    return {
+        "task": {"kind": "percentile", "n": 6, "r": 50, "count": 40, "seed": 5},
+        "model": {"kind": "deepsets", "width": 8, "seed": 1},
+        "train": {"loss": "mse", "batch_size": 8, "outer_iters": 1},
+        "sweep": {"grid": {"model.width": [8, 16]}},
     }
 
 
@@ -177,6 +188,15 @@ class TestCommands:
         })
         assert main(["gradcheck", "--config", str(cfg_path)]) == 0
 
+    def test_gradcheck_creates_no_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "cfg.json", {
+            "model": {"kind": "deepsets", "width": 4, "seed": 0},
+            "gradcheck": {"n": 3, "d": 2, "L": 1, "seed": 1},
+        })
+        assert main(["gradcheck", "--config", "cfg.json"]) == 0
+        assert not (tmp_path / "spanlab-out").exists()
+
     def test_seed_override(self, tmp_path):
         cfg = percentile_config(tmp_path)
         cfg_path = write_config(tmp_path / "cfg.json", cfg)
@@ -213,6 +233,33 @@ class TestCommands:
         vals = [t["val_loss"] for t in summary["trials"]]
         assert summary["best"]["val_loss"] == min(vals)
         assert (out / "results.csv").exists()
+
+    def test_sweep_with_empty_test_split_exits_2(self, tmp_path, capsys):
+        cfg = small_sweep_config()
+        cfg["split"] = {"train": 0.8, "val": 0.2, "test": 0.0}
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["sweep", "--config", cfg_path,
+                     "--out", str(tmp_path / "sweepout")]) == 2
+        assert "empty test split" in capsys.readouterr().err
+
+
+class TestSweepWorkers:
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    def test_rejected_before_any_trial(self, value, tmp_path, monkeypatch,
+                                       capsys):
+        monkeypatch.setenv("SPANLAB_THREADS", value)
+        cfg_path = write_config(tmp_path / "cfg.json", small_sweep_config())
+        out = tmp_path / "sweepout"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
+        assert "SPANLAB_THREADS" in err
+        assert not out.exists()
+
+    def test_capped_at_cpu_count(self, monkeypatch):
+        cpus = os.cpu_count() or 1
+        monkeypatch.setenv("SPANLAB_THREADS", str(cpus + 1))
+        assert sweep_workers() == cpus
 
 
 class TestDatasetFromTask:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spanlab.cli import _AveragedPredictor, model_from_config
 from spanlab.metrics import (
     MetricError,
     MetricRow,
@@ -37,8 +38,8 @@ class TestRelativeError:
 
     def test_average_over_instances(self):
         class Doubler:
-            def predict(self, x):
-                return np.array([2.0 * x.sum()])
+            def predict_batch(self, x):
+                return 2.0 * x.sum(axis=(1, 2))[:, None]
 
         data = [SetInstance(np.ones((2, 1)), np.array([2.0]))]
         assert average_relative_error(Doubler(), data) == 1.0
@@ -84,12 +85,8 @@ class TestInvarianceDelta:
 
     def test_zero_mean_fallback_flagged(self):
         class Alternating:
-            def __init__(self):
-                self.calls = 0
-
-            def predict(self, x):
-                self.calls += 1
-                return np.array([1.0 if self.calls % 2 else -1.0])
+            def predict_batch(self, x):
+                return np.where(np.arange(len(x)) % 2, -1.0, 1.0)[:, None]
 
         x = np.zeros((3, 1))
         res = invariance_delta(Alternating(), x, num_perms=10,
@@ -103,17 +100,15 @@ class TestAblationFractions:
         def __init__(self, digit):
             self.digit = digit
 
-        def predict(self, x):
-            out = np.zeros(10)
-            out[self.digit] = 1.0
-            return out
+        def predict_batch(self, x):
+            return np.tile(np.eye(10)[self.digit], (len(x), 1))
 
     class LastDigit:
         def __init__(self, instances):
-            self.lookup = {id(i.elements): i.digits[-1] for i in instances}
+            self.lookup = {i.elements.tobytes(): i.digits[-1] for i in instances}
 
-        def predict(self, x):
-            return np.eye(10)[self.lookup[id(x)]]
+        def predict_batch(self, x):
+            return np.eye(10)[[self.lookup[s.tobytes()] for s in x]]
 
     def test_fractions_sum_to_one(self):
         images, labels = synthetic_digits(per_class=10, seed=8)
@@ -127,10 +122,11 @@ class TestAblationFractions:
 
         class Oracle:
             def __init__(self, instances):
-                self.lookup = {id(i.elements): max(i.digits) for i in instances}
+                self.lookup = {i.elements.tobytes(): max(i.digits)
+                               for i in instances}
 
-            def predict(self, x):
-                return np.eye(10)[self.lookup[id(x)]]
+            def predict_batch(self, x):
+                return np.eye(10)[[self.lookup[s.tobytes()] for s in x]]
 
         max_f, last_f, other_f = ablation_fractions(Oracle(ds.instances),
                                                     ds.instances)
@@ -146,6 +142,74 @@ class TestAblationFractions:
         assert other_f == 0.0
         assert 0.15 <= max_f <= 0.35
         assert last_f == pytest.approx(1.0 - max_f, abs=1e-12)
+
+
+class TestBatchedEvaluation:
+    """Each metric predicts in one batch; a per-set forward is the reference."""
+
+    N, D, L = 5, 3, 10
+    CONFIGS = {
+        "span": {"hidden": 6, "tau": 0.5, "sinkhorn_iters": 5},
+        "span-fc": {"width": 8, "tau": 0.5, "sinkhorn_iters": 5},
+        "span-no-apn": {"hidden": 6},
+        "deepsets": {"width": 8},
+        "janossy": {"k": 2, "width": 8},
+        "pisgd": {"hidden": 6},
+    }
+
+    class PerSet:
+        def __init__(self, model):
+            self.model = model
+
+        def predict_batch(self, x):
+            return np.stack([self.model.predict(s) for s in x])
+
+    def predictor(self, kind):
+        model = model_from_config(dict(self.CONFIGS[kind], kind=kind, seed=3),
+                                  self.N, self.D, self.L)
+        # evaluate_model scores pi-SGD through its averaged predictor
+        return _AveragedPredictor(model, 0) if kind == "pisgd" else model
+
+    def instances(self):
+        rng = np.random.default_rng(40)
+        return [
+            SetInstance(rng.normal(size=(self.N, self.D)),
+                        rng.uniform(0.5, 2.0, size=self.L),
+                        digits=[int(v) for v in rng.integers(0, 10, self.N)])
+            for _ in range(20)
+        ]
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_matches_per_set_forward(self, kind):
+        predictor, insts = self.predictor(kind), self.instances()
+        reference = self.PerSet(predictor)
+        assert average_relative_error(predictor, insts) == pytest.approx(
+            average_relative_error(reference, insts), rel=1e-12)
+        assert ablation_fractions(predictor, insts) == pytest.approx(
+            ablation_fractions(reference, insts), rel=1e-12)
+        for i, inst in enumerate(insts):
+            got = invariance_delta(predictor, inst.elements,
+                                   rng=np.random.default_rng(i))
+            want = invariance_delta(reference, inst.elements,
+                                    rng=np.random.default_rng(i))
+            assert got.value == pytest.approx(want.value, rel=1e-12)
+            assert got.max_component_std == pytest.approx(
+                want.max_component_std, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_delta_one_forward_same_permutations(self, kind):
+        predictor = self.predictor(kind)
+        model = getattr(predictor, "model", predictor)
+        forward, calls = model.forward, []
+        model.forward = lambda *a, **k: calls.append(1) or forward(*a, **k)
+        for i, inst in enumerate(self.instances()):
+            rng = np.random.default_rng(i)
+            invariance_delta(predictor, inst.elements, rng=rng)
+            assert len(calls) == i + 1
+            drawn = np.random.default_rng(i)
+            for _ in range(20):
+                drawn.permutation(self.N)
+            assert rng.bit_generator.state == drawn.bit_generator.state
 
 
 class TestCosine:
