@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import itertools
 import json
 import os
@@ -34,12 +35,9 @@ from spanlab.metrics import (
     predict_instances,
 )
 from spanlab.models import (
-    DeepSetsModel,
-    JanossyModel,
-    PiSgdModel,
-    SpanFcModel,
-    SpanModel,
-    SpanNoApnModel,
+    MODEL_KINDS,
+    CheckpointError,
+    constructor_args,
     load_checkpoint,
 )
 from spanlab.nn import seed_chain
@@ -57,9 +55,10 @@ from spanlab.tasks import (
     save_dataset,
     synthetic_digits,
 )
-from spanlab.tensor import Tensor, finite_difference_check
+from spanlab.tensor import BlobFormatError, Tensor, finite_difference_check
 from spanlab.train import (
     TrainConfig,
+    TrainingDiverged,
     batch_loss,
     batch_loss_value,
     train_span,
@@ -76,38 +75,28 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config schema
 
+# Each block's keys as (required, optional).  Every task also requires a
+# kind and a count and may take a seed.
 _TASK_KEYS = {
-    "kary": {"kind", "count", "seed", "n", "d", "k"},
-    "percentile": {"kind", "count", "seed", "n", "r", "value_range"},
-    "maxflow": {"kind", "count", "seed", "vertices", "edges", "cap_range",
-                "subset_size", "graph_seed"},
-    "spiked": {"kind", "count", "seed", "n", "d", "sigma"},
-    "maxdigit": {"kind", "count", "seed", "set_size", "biased", "source",
-                 "per_class", "digit_dim", "noise", "corpus_seed",
-                 "images_path", "labels_path", "test_count"},
+    "kary": ({"n", "d", "k"}, set()),
+    "percentile": ({"n", "r"}, {"value_range"}),
+    "maxflow": ({"vertices", "edges"}, {"cap_range", "subset_size", "graph_seed"}),
+    "spiked": ({"n", "d", "sigma"}, set()),
+    "maxdigit": ({"set_size"}, {"biased", "source", "per_class", "digit_dim",
+                                "noise", "corpus_seed", "images_path",
+                                "labels_path", "test_count"}),
 }
 
-_MODEL_KEYS = {
-    "span": {"kind", "hidden", "tau", "sinkhorn_iters", "input_scale", "seed",
-             "forget_bias"},
-    "span-no-apn": {"kind", "hidden", "input_scale", "seed", "forget_bias"},
-    "span-fc": {"kind", "width", "tau", "sinkhorn_iters", "input_scale", "seed"},
-    "deepsets": {"kind", "width", "pooling", "dropout_rate", "seed"},
-    "janossy": {"kind", "k", "width", "pooling", "dropout_rate", "seed"},
-    "pisgd": {"kind", "hidden", "permutations", "input_scale", "seed",
-              "forget_bias"},
-}
-
-_TRAIN_KEYS = {
-    "loss", "learner_lr", "adversary_lr", "batch_size", "outer_iters",
-    "learner_steps", "adversary_steps", "weight_decay", "dropout",
-    "grad_clip", "optimizer", "adversary_optimizer", "seed",
-    "checkpoint_every", "divergence_limit",
+_BLOCK_KEYS = {
+    "train": (set(), {f.name for f in dataclasses.fields(TrainConfig)}),
+    "split": (set(), {"train", "val", "test"}),
+    "gradcheck": ({"n", "d"}, {"L", "h", "loss", "seed", "batch"}),
 }
 
 _TOP_KEYS = {"task", "model", "train", "split", "sweep", "out_dir", "gradcheck"}
 
-_GRADCHECK_KEYS = {"n", "d", "L", "h", "loss", "seed", "batch"}
+# model constructor arguments set by the data, not by the model block
+_DATA_DIMS = ("n", "d", "L")
 
 
 def load_config(path):
@@ -120,39 +109,39 @@ def load_config(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _check_keys(block, allowed, where):
-    unknown = sorted(set(block) - allowed)
+def _check_keys(block, keys, where):
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    required, optional = keys
+    unknown = sorted(set(block) - set(required) - set(optional))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+    missing = sorted(set(required) - set(block))
+    if missing:
+        raise ConfigError(f"{where} is missing keys: {', '.join(missing)}")
 
 
 def validate_config(cfg, require=("task",)):
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "config")
-    for block in require:
-        if block not in cfg:
-            raise ConfigError(f"config is missing the {block!r} block")
+    _check_keys(cfg, (set(require), _TOP_KEYS), "config")
     if "task" in cfg:
         task = cfg["task"]
         kind = task.get("kind")
         if kind not in _TASK_KEYS:
             raise ConfigError(f"unknown task kind {kind!r}")
-        _check_keys(task, _TASK_KEYS[kind], f"task ({kind})")
-        if "count" not in task:
-            raise ConfigError("task block needs a count")
+        required, optional = _TASK_KEYS[kind]
+        if task.get("source") == "mnist":
+            required = required | {"images_path", "labels_path"}
+        _check_keys(task, (required | {"kind", "count"}, optional | {"seed"}),
+                    f"task ({kind})")
     if "model" in cfg:
-        model = cfg["model"]
-        kind = model.get("kind")
-        if kind not in _MODEL_KEYS:
+        kind = cfg["model"].get("kind")
+        if kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {kind!r}")
-        _check_keys(model, _MODEL_KEYS[kind], f"model ({kind})")
-    if "train" in cfg:
-        _check_keys(cfg["train"], _TRAIN_KEYS, "train")
-    if "split" in cfg:
-        _check_keys(cfg["split"], {"train", "val", "test"}, "split")
-    if "gradcheck" in cfg:
-        _check_keys(cfg["gradcheck"], _GRADCHECK_KEYS, "gradcheck")
+        args = set(constructor_args(MODEL_KINDS[kind])) - set(_DATA_DIMS)
+        _check_keys(cfg["model"], ({"kind"}, args), f"model ({kind})")
+    for block, keys in _BLOCK_KEYS.items():
+        if block in cfg:
+            _check_keys(cfg[block], keys, block)
     return cfg
 
 
@@ -242,21 +231,15 @@ def prepare_splits(cfg):
 
 
 def model_from_config(model_cfg, n, d, label_dim):
-    kind = model_cfg["kind"]
-    args = {k: v for k, v in model_cfg.items() if k != "kind"}
-    if kind == "span":
-        return SpanModel(n=n, d=d, L=label_dim, **args)
-    if kind == "span-no-apn":
-        return SpanNoApnModel(n=n, d=d, L=label_dim, **args)
-    if kind == "span-fc":
-        return SpanFcModel(n=n, d=d, L=label_dim, **args)
-    if kind == "deepsets":
-        return DeepSetsModel(d=d, L=label_dim, **args)
-    if kind == "janossy":
-        return JanossyModel(d=d, L=label_dim, **args)
-    if kind == "pisgd":
-        return PiSgdModel(n=n, d=d, L=label_dim, **args)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    """The configured model, given the data's dimensions where its
+    constructor takes them."""
+    cls = MODEL_KINDS.get(model_cfg["kind"])
+    if cls is None:
+        raise ConfigError(f"unknown model kind {model_cfg['kind']!r}")
+    dims = dict(zip(_DATA_DIMS, (n, d, label_dim)))
+    args = {k: v for k, v in dims.items() if k in constructor_args(cls)}
+    args.update((k, v) for k, v in model_cfg.items() if k != "kind")
+    return cls(**args)
 
 
 def train_config_from(cfg):
@@ -338,15 +321,14 @@ def evaluate_model(model, dataset, instances, model_kind, eval_seed=0):
 
 
 def run_training(cfg, out_dir):
-    dataset, train_insts, _val, _test = prepare_splits(cfg)
+    """Train the configured model; returns it, its history and the
+    validation split."""
+    dataset, train_insts, val_insts, _test = prepare_splits(cfg)
     model = model_from_config(cfg["model"], dataset.header["n"],
                               dataset.header["d"], dataset.header["L"])
-    tcfg = train_config_from(cfg)
-    if model.adversary_parameters():
-        history = train_span(model, train_insts, tcfg, out_dir=out_dir)
-    else:
-        history = train_standard(model, train_insts, tcfg, out_dir=out_dir)
-    return model, history
+    train = train_span if model.adversary_parameters() else train_standard
+    history = train(model, train_insts, train_config_from(cfg), out_dir=out_dir)
+    return model, history, val_insts
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +357,7 @@ def cmd_gen(cfg, out_dir, args):
 def cmd_train(cfg, out_dir, args):
     validate_config(cfg, require=("task", "model", "train"))
     write_manifest(out_dir, "train", cfg)
-    model, history = run_training(cfg, out_dir)
+    model, history, _val = run_training(cfg, out_dir)
     final = history[-1].batch_loss if history else float("nan")
     print(f"train: {len(history)} steps, final batch loss {final:.6g}, "
           f"checkpoint in {out_dir / 'checkpoint'}")
@@ -452,19 +434,11 @@ def _run_sweep_trial(payload):
     validate_config(trial, require=("task", "model", "train"))
     label = "_".join(f"{p.split('.')[-1]}={v}" for p, v in assignment) or "base"
     out_dir = Path(out_root) / f"trial_{label}"
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(out_dir, "sweep-trial", trial)
-    dataset, train_insts, val_insts, test_insts = prepare_splits(trial)
-    model = model_from_config(trial["model"], dataset.header["n"],
-                              dataset.header["d"], dataset.header["L"])
-    tcfg = train_config_from(trial)
-    if model.adversary_parameters():
-        train_span(model, train_insts, tcfg, out_dir=out_dir)
-    else:
-        train_standard(model, train_insts, tcfg, out_dir=out_dir)
+    model, _history, val_insts = run_training(trial, out_dir)
     x = np.stack([inst.elements for inst in val_insts])
     y = np.stack([np.asarray(inst.label).reshape(-1) for inst in val_insts])
-    val_loss = batch_loss_value(model, x, y, tcfg.loss)
+    val_loss = batch_loss_value(model, x, y, train_config_from(trial).loss)
     return {"assignment": assignment, "val_loss": val_loss,
             "out_dir": str(out_dir)}
 
@@ -578,7 +552,8 @@ def main(argv=None):
             "sweep": cmd_sweep,
         }[args.command]
         return handler(cfg, out_dir, args)
-    except (ConfigError, TaskError, FileNotFoundError) as exc:
+    except (ConfigError, TaskError, FileNotFoundError, CheckpointError,
+            BlobFormatError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

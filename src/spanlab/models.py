@@ -14,6 +14,7 @@ exact at the bit level instead of merely up to float addition order.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from spanlab.nn import LSTMCell, LinearLayer, dropout, seed_chain
-from spanlab.perm import PermutationNetwork, apply_soft
+from spanlab.perm import PermutationNetwork, _lex_row_order, apply_soft
 from spanlab.tensor import (
     ShapeMismatch,
     Tensor,
@@ -34,11 +35,13 @@ __all__ = [
     "CheckpointError",
     "DeepSetsModel",
     "JanossyModel",
+    "MODEL_KINDS",
     "PiSgdModel",
     "SpanFcModel",
     "SpanModel",
     "SpanNoApnModel",
     "build_model",
+    "constructor_args",
     "load_checkpoint",
     "save_checkpoint",
     "tuple_index_array",
@@ -56,15 +59,52 @@ def _as_batch(x):
     raise ShapeMismatch("model_forward", x.shape)
 
 
-def _canonical_row_order(data):
-    """Per-instance lexicographic row order for a (B,n,d) array."""
-    return np.stack([np.lexsort(inst.T[::-1]) for inst in data])
+def constructor_args(cls):
+    """Names of a model class's constructor arguments: its schema."""
+    return tuple(inspect.signature(cls.__init__).parameters)[1:]
 
 
 class _ModelBase:
-    """Shared prediction plumbing; subclasses define forward/parameters."""
+    """Shared schema and prediction plumbing; subclasses define forward.
 
-    out_dim = 1
+    The constructor arguments are kept as attributes of the same name and
+    read back by ``spec``.  ``layers`` lists the sub-layer attributes in
+    parameter order, and ``adversary`` the ones the max player owns.
+    """
+
+    layers = ()
+    adversary = ()
+
+    def __new__(cls, *args, **kwargs):
+        # recorded before __init__ runs, so no subclass restates its arguments
+        self = super().__new__(cls)
+        bound = inspect.signature(cls.__init__).bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        for name in constructor_args(cls):
+            setattr(self, name, bound.arguments[name])
+        return self
+
+    @property
+    def out_dim(self):
+        return self.L
+
+    def spec(self):
+        return {"kind": self.kind,
+                **{name: getattr(self, name) for name in constructor_args(type(self))}}
+
+    def _parameters_of(self, layers):
+        return {f"{layer}.{k}": v for layer in layers
+                for k, v in getattr(self, layer).parameters().items()}
+
+    def parameters(self):
+        return self._parameters_of(self.layers)
+
+    def adversary_parameters(self):
+        return self._parameters_of(self.adversary)
+
+    def learner_parameters(self):
+        adversary = set(self.adversary_parameters())
+        return {k: v for k, v in self.parameters().items() if k not in adversary}
 
     def predict(self, x):
         """Value-only prediction for a single (n,d) set."""
@@ -74,30 +114,21 @@ class _ModelBase:
     def predict_batch(self, x):
         return self.forward(_as_batch(np.asarray(x, dtype=np.float64))).data
 
-    def adversary_parameters(self):
-        return {}
-
-    def learner_parameters(self):
-        adversary = set(self.adversary_parameters())
-        return {k: v for k, v in self.parameters().items() if k not in adversary}
+    def _scaled(self, x):
+        """The input as a (B,n,d) batch, times ``input_scale``."""
+        x = _as_batch(x)
+        return x * self.input_scale if self.input_scale != 1.0 else x
 
 
 class SpanModel(_ModelBase):
     """Permutation network + LSTM + linear readout (the min-max learner)."""
 
     kind = "span"
+    layers = ("pn", "lstm", "readout")
+    adversary = ("pn",)
 
     def __init__(self, n, d, L, hidden=128, tau=0.1, sinkhorn_iters=100,
                  input_scale=1.0, seed=0, forget_bias=1.0):
-        self.n = n
-        self.d = d
-        self.out_dim = L
-        self.hidden = hidden
-        self.tau = tau
-        self.sinkhorn_iters = sinkhorn_iters
-        self.input_scale = input_scale
-        self.seed = seed
-        self.forget_bias = forget_bias
         self.pn = PermutationNetwork(d, n, tau, sinkhorn_iters,
                                      seed=seed_chain(seed, 0))
         self.lstm = LSTMCell(d, hidden, seed=seed_chain(seed, 1),
@@ -105,9 +136,7 @@ class SpanModel(_ModelBase):
         self.readout = LinearLayer(hidden, L, "none", seed=seed_chain(seed, 2))
 
     def forward(self, x, training=False, rng=None):
-        x = _as_batch(x)
-        if self.input_scale != 1.0:
-            x = x * self.input_scale
+        x = self._scaled(x)
         p = self.pn.forward(x)
         # P X: row i of P weights the elements placed in slot i.  The network
         # is row-equivariant, so the P^T X form would cancel the input order
@@ -116,61 +145,22 @@ class SpanModel(_ModelBase):
         h = self.lstm.run(permuted)
         return self.readout.forward(h)
 
-    def parameters(self):
-        params = {f"pn.{k}": v for k, v in self.pn.parameters().items()}
-        params.update({f"lstm.{k}": v for k, v in self.lstm.parameters().items()})
-        params.update({f"readout.{k}": v for k, v in self.readout.parameters().items()})
-        return params
-
-    def adversary_parameters(self):
-        return {f"pn.{k}": v for k, v in self.pn.parameters().items()}
-
-    def spec(self):
-        return {
-            "kind": self.kind, "n": self.n, "d": self.d, "L": self.out_dim,
-            "hidden": self.hidden, "tau": self.tau,
-            "sinkhorn_iters": self.sinkhorn_iters,
-            "input_scale": self.input_scale, "seed": self.seed,
-            "forget_bias": self.forget_bias,
-        }
-
 
 class SpanNoApnModel(_ModelBase):
     """Ablation: the LSTM reads elements in the order given (no permutation
     network), so it is free to latch onto positional bias."""
 
     kind = "span-no-apn"
+    layers = ("lstm", "readout")
 
     def __init__(self, n, d, L, hidden=128, input_scale=1.0, seed=0,
                  forget_bias=1.0):
-        self.n = n
-        self.d = d
-        self.out_dim = L
-        self.hidden = hidden
-        self.input_scale = input_scale
-        self.seed = seed
-        self.forget_bias = forget_bias
         self.lstm = LSTMCell(d, hidden, seed=seed_chain(seed, 1),
                              forget_bias=forget_bias)
         self.readout = LinearLayer(hidden, L, "none", seed=seed_chain(seed, 2))
 
     def forward(self, x, training=False, rng=None):
-        x = _as_batch(x)
-        if self.input_scale != 1.0:
-            x = x * self.input_scale
-        return self.readout.forward(self.lstm.run(x))
-
-    def parameters(self):
-        params = {f"lstm.{k}": v for k, v in self.lstm.parameters().items()}
-        params.update({f"readout.{k}": v for k, v in self.readout.parameters().items()})
-        return params
-
-    def spec(self):
-        return {
-            "kind": self.kind, "n": self.n, "d": self.d, "L": self.out_dim,
-            "hidden": self.hidden, "input_scale": self.input_scale,
-            "seed": self.seed, "forget_bias": self.forget_bias,
-        }
+        return self.readout.forward(self.lstm.run(self._scaled(x)))
 
 
 class SpanFcModel(_ModelBase):
@@ -178,51 +168,23 @@ class SpanFcModel(_ModelBase):
     over the flattened permuted set."""
 
     kind = "span-fc"
+    layers = ("pn", "hidden", "readout")
+    adversary = ("pn",)
 
     def __init__(self, n, d, L, width=128, tau=0.1, sinkhorn_iters=100,
                  input_scale=1.0, seed=0):
-        self.n = n
-        self.d = d
-        self.out_dim = L
-        self.width = width
-        self.tau = tau
-        self.sinkhorn_iters = sinkhorn_iters
-        self.input_scale = input_scale
-        self.seed = seed
         self.pn = PermutationNetwork(d, n, tau, sinkhorn_iters,
                                      seed=seed_chain(seed, 0))
-        self.hidden_layer = LinearLayer(n * d, width, "relu",
-                                        seed=seed_chain(seed, 1))
+        self.hidden = LinearLayer(n * d, width, "relu", seed=seed_chain(seed, 1))
         self.readout = LinearLayer(width, L, "none", seed=seed_chain(seed, 2))
 
     def forward(self, x, training=False, rng=None):
-        x = _as_batch(x)
-        if self.input_scale != 1.0:
-            x = x * self.input_scale
+        x = self._scaled(x)
         p = self.pn.forward(x)
         permuted = apply_soft(p.transpose(), x)  # P X, as in SpanModel
         batch = permuted.shape[0]
         flat = permuted.reshape((batch, self.n * self.d))
-        return self.readout.forward(self.hidden_layer.forward(flat))
-
-    def parameters(self):
-        params = {f"pn.{k}": v for k, v in self.pn.parameters().items()}
-        params.update(
-            {f"hidden.{k}": v for k, v in self.hidden_layer.parameters().items()}
-        )
-        params.update({f"readout.{k}": v for k, v in self.readout.parameters().items()})
-        return params
-
-    def adversary_parameters(self):
-        return {f"pn.{k}": v for k, v in self.pn.parameters().items()}
-
-    def spec(self):
-        return {
-            "kind": self.kind, "n": self.n, "d": self.d, "L": self.out_dim,
-            "width": self.width, "tau": self.tau,
-            "sinkhorn_iters": self.sinkhorn_iters,
-            "input_scale": self.input_scale, "seed": self.seed,
-        }
+        return self.readout.forward(self.hidden.forward(flat))
 
 
 class DeepSetsModel(_ModelBase):
@@ -233,23 +195,18 @@ class DeepSetsModel(_ModelBase):
     """
 
     kind = "deepsets"
+    layers = ("embed", "post", "readout")
 
     def __init__(self, d, L, width=128, pooling="sum", dropout_rate=0.0, seed=0):
         if pooling not in ("sum", "max"):
             raise ValueError(f"DeepSetsModel: unknown pooling {pooling!r}")
-        self.d = d
-        self.out_dim = L
-        self.width = width
-        self.pooling = pooling
-        self.dropout_rate = dropout_rate
-        self.seed = seed
         self.embed = LinearLayer(d, width, "relu", seed=seed_chain(seed, 0))
         self.post = LinearLayer(width, width, "relu", seed=seed_chain(seed, 1))
         self.readout = LinearLayer(width, L, "none", seed=seed_chain(seed, 2))
 
     def forward(self, x, training=False, rng=None):
         x = _as_batch(x)
-        x = x.permute_rows(_canonical_row_order(x.data))
+        x = x.permute_rows(_lex_row_order(x.data))
         batch, n, d = x.shape
         phi = self.embed.forward(x.reshape((batch * n, d)))
         phi = dropout(phi, self.dropout_rate, rng, training)
@@ -260,19 +217,6 @@ class DeepSetsModel(_ModelBase):
             pooled = phi.max(axis=1)
         h = dropout(self.post.forward(pooled), self.dropout_rate, rng, training)
         return self.readout.forward(h)
-
-    def parameters(self):
-        params = {f"embed.{k}": v for k, v in self.embed.parameters().items()}
-        params.update({f"post.{k}": v for k, v in self.post.parameters().items()})
-        params.update({f"readout.{k}": v for k, v in self.readout.parameters().items()})
-        return params
-
-    def spec(self):
-        return {
-            "kind": self.kind, "d": self.d, "L": self.out_dim,
-            "width": self.width, "pooling": self.pooling,
-            "dropout_rate": self.dropout_rate, "seed": self.seed,
-        }
 
 
 def tuple_index_array(n, k):
@@ -290,24 +234,18 @@ class JanossyModel(_ModelBase):
     """
 
     kind = "janossy"
+    layers = ("inner",)
 
     def __init__(self, d, L, k, width=128, pooling="sum", dropout_rate=0.0, seed=0):
-        self.d = d
-        self.out_dim = L
-        self.k = k
         self.inner = DeepSetsModel(d * k, L, width=width, pooling=pooling,
                                    dropout_rate=dropout_rate, seed=seed)
-        self.width = width
-        self.pooling = pooling
-        self.dropout_rate = dropout_rate
-        self.seed = seed
 
     def forward(self, x, training=False, rng=None):
         x = _as_batch(x)
         batch, n, d = x.shape
         if n < self.k:
             raise ShapeMismatch("janossy_forward", x.shape, (None, self.k, d))
-        x = x.permute_rows(_canonical_row_order(x.data))
+        x = x.permute_rows(_lex_row_order(x.data))
         combos = tuple_index_array(n, self.k)
         outs = []
         for b in range(batch):
@@ -320,43 +258,17 @@ class JanossyModel(_ModelBase):
             ))
         return outs[0] if batch == 1 else concat(outs, axis=0)
 
-    def parameters(self):
-        return {f"inner.{k}": v for k, v in self.inner.parameters().items()}
 
-    def spec(self):
-        return {
-            "kind": self.kind, "d": self.d, "L": self.out_dim, "k": self.k,
-            "width": self.width, "pooling": self.pooling,
-            "dropout_rate": self.dropout_rate, "seed": self.seed,
-        }
-
-
-class PiSgdModel(_ModelBase):
+class PiSgdModel(SpanNoApnModel):
     """LSTM + readout trained on sampled permutations; inference averages
-    predictions over fresh random permutations."""
+    predictions over fresh random permutations.  ``forward`` is the plain
+    ordered forward; training permutes the batch through ``forward_train``."""
 
     kind = "pisgd"
 
     def __init__(self, n, d, L, hidden=128, permutations=20, input_scale=1.0,
                  seed=0, forget_bias=1.0):
-        self.n = n
-        self.d = d
-        self.out_dim = L
-        self.hidden = hidden
-        self.permutations = permutations
-        self.input_scale = input_scale
-        self.seed = seed
-        self.forget_bias = forget_bias
-        self.lstm = LSTMCell(d, hidden, seed=seed_chain(seed, 1),
-                             forget_bias=forget_bias)
-        self.readout = LinearLayer(hidden, L, "none", seed=seed_chain(seed, 2))
-
-    def forward(self, x, training=False, rng=None):
-        """Plain ordered forward; training code permutes the batch itself."""
-        x = _as_batch(x)
-        if self.input_scale != 1.0:
-            x = x * self.input_scale
-        return self.readout.forward(self.lstm.run(x))
+        super().__init__(n, d, L, hidden, input_scale, seed, forget_bias)
 
     def forward_train(self, x, perms):
         """One sampled permutation per instance, then the ordered forward."""
@@ -376,34 +288,19 @@ class PiSgdModel(_ModelBase):
     def predict_average(self, x, rng):
         return self.predict_samples(x, rng).mean(axis=-2)
 
-    def parameters(self):
-        params = {f"lstm.{k}": v for k, v in self.lstm.parameters().items()}
-        params.update({f"readout.{k}": v for k, v in self.readout.parameters().items()})
-        return params
-
-    def spec(self):
-        return {
-            "kind": self.kind, "n": self.n, "d": self.d, "L": self.out_dim,
-            "hidden": self.hidden, "permutations": self.permutations,
-            "input_scale": self.input_scale, "seed": self.seed,
-            "forget_bias": self.forget_bias,
-        }
-
 
 # ---------------------------------------------------------------------------
 # construction and checkpointing
 
-_MODEL_KINDS = {}
-for _cls in (SpanModel, SpanNoApnModel, SpanFcModel, DeepSetsModel,
-             JanossyModel, PiSgdModel):
-    _MODEL_KINDS[_cls.kind] = _cls
+MODEL_KINDS = {cls.kind: cls for cls in (SpanModel, SpanNoApnModel, SpanFcModel,
+                                         DeepSetsModel, JanossyModel, PiSgdModel)}
 
 
 def build_model(spec):
     """Instantiate a model from its spec dict (as stored in checkpoints)."""
     spec = dict(spec)
     kind = spec.pop("kind", None)
-    cls = _MODEL_KINDS.get(kind)
+    cls = MODEL_KINDS.get(kind)
     if cls is None:
         raise CheckpointError(f"unknown model kind {kind!r}")
     return cls(**spec)
@@ -414,10 +311,18 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(directory, model, extra=None):
-    """Write manifest.json plus one tensor blob per named parameter."""
+    """Write one tensor blob per named parameter, then manifest.json.
+
+    Any old manifest is removed first, so a save cut short leaves a
+    directory that ``load_checkpoint`` rejects instead of a mix of old and
+    new blobs that loads.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / "manifest.json").unlink(missing_ok=True)
     params = model.parameters()
+    for name, tensor in params.items():
+        write_tensor_blob(directory / f"{name}.sptn", tensor.data)
     manifest = {
         "format": 1,
         "model": model.spec(),
@@ -427,8 +332,6 @@ def save_checkpoint(directory, model, extra=None):
     (directory / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
-    for name, tensor in params.items():
-        write_tensor_blob(directory / f"{name}.sptn", tensor.data)
 
 
 def load_checkpoint(directory):
@@ -437,8 +340,11 @@ def load_checkpoint(directory):
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise CheckpointError(f"{directory}: missing manifest.json")
-    manifest = json.loads(manifest_path.read_text())
-    model = build_model(manifest["model"])
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        model = build_model(manifest["model"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{directory}: unusable manifest.json: {exc}") from exc
     params = model.parameters()
     if sorted(params.keys()) != manifest["tensors"]:
         raise CheckpointError(f"{directory}: tensor list mismatch")

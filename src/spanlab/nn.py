@@ -15,7 +15,6 @@ __all__ = [
     "adam_step",
     "clip_global_norm",
     "dropout",
-    "lstm_forward",
     "optimizer_step",
     "seed_chain",
     "sgd_step",
@@ -125,15 +124,6 @@ class LSTMCell:
             params[f"w_{gate}"] = self.weights[gate]
             params[f"b_{gate}"] = self.biases[gate]
         return params
-
-
-def lstm_forward(cell, sequence):
-    """Final hidden state for one sequence: (n,d) -> (hidden,)."""
-    if sequence.ndim != 2:
-        raise ShapeMismatch("lstm_forward", sequence.shape)
-    n, d = sequence.shape
-    h = cell.run(sequence.reshape((1, n, d)))
-    return h.reshape((cell.hidden_dim,))
 
 
 def dropout(x, rate, rng, training):

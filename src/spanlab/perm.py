@@ -2,7 +2,9 @@
 
 The Sinkhorn operator drives a positive matrix toward the doubly-stochastic
 polytope by alternating row and column normalization; run on exp(logits/tau)
-it sharpens toward a permutation matrix as tau shrinks.  The permutation
+it sharpens toward a permutation matrix as tau shrinks.  With a fixed round
+count the output is only near that polytope: each round ends with the column
+step, so columns sum to 1 and rows only approach 1.  The permutation
 network maps a set to per-input logits whose Sinkhorn image acts as a soft
 permutation.  Hard matchings (Hungarian, greedy rounding) exist for
 validation and diagnostics; training never hardens.
@@ -63,11 +65,14 @@ class PermMatrix:
 
 
 def sinkhorn(logits, temperature, iterations):
-    """Doubly-stochastic projection of exp(logits/temperature).
+    """Sinkhorn normalization of exp(logits/temperature).
 
     Runs ``iterations`` rounds of row normalization followed by column
     normalization, in log space for stability; fully differentiable by
-    unrolling.  Accepts an (n,n) matrix or a (B,n,n) batch.
+    unrolling.  Accepts an (n,n) matrix or a (B,n,n) batch.  Each round ends
+    with the column step, so the columns of the result sum to 1 while the
+    rows only approach 1: at n=4, temperature 0.1 and 20 rounds the row sums
+    can be off by 0.05-0.35.
     """
     if temperature <= 0.0:
         raise DomainError(f"sinkhorn: temperature {temperature} must be positive")
@@ -161,17 +166,16 @@ def apply_soft(p, x):
         x = Tensor(x)
     if p.ndim != x.ndim or p.shape[-1] != p.shape[-2] or p.shape[-2] != x.shape[-2]:
         raise ShapeMismatch("apply_soft", p.shape, x.shape)
-    if x.ndim == 2:
-        order = _lex_row_order(x.data)
-    elif x.ndim == 3:
-        order = np.stack([_lex_row_order(inst) for inst in x.data])
-    else:
+    if x.ndim not in (2, 3):
         raise ShapeMismatch("apply_soft", p.shape, x.shape)
+    order = _lex_row_order(x.data)
     return p.permute_rows(order).transpose() @ x.permute_rows(order)
 
 
 def _lex_row_order(rows):
-    return np.lexsort(rows.T[::-1])
+    """Lexicographic row order of an (n,d) set, or of each set in a (B,n,d)
+    stack."""
+    return np.lexsort(np.moveaxis(rows, -1, 0)[::-1])
 
 
 def hard_match(score):

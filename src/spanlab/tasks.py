@@ -98,21 +98,27 @@ def save_dataset(path, dataset):
 
 
 def load_dataset(path):
+    """Read a dataset written by ``save_dataset``; a malformed line raises
+    TaskError naming the file and the line number."""
+    header, instances = None, []
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
+        for lineno, ln in enumerate(fh, 1):
+            if not ln.strip():
+                continue
+            try:
+                rec = json.loads(ln)
+                if header is None:
+                    header = rec
+                    continue
+                instances.append(SetInstance(
+                    elements=np.asarray(rec["set"], dtype=np.float64),
+                    label=np.asarray(rec["label"], dtype=np.float64),
+                    digits=rec.get("digits"),
+                ))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise TaskError(f"{path}:{lineno}: malformed record: {exc!r}") from exc
+    if header is None:
         raise TaskError(f"{path}: empty dataset file")
-    header = json.loads(lines[0])
-    instances = []
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        instances.append(
-            SetInstance(
-                elements=np.asarray(rec["set"], dtype=np.float64),
-                label=np.asarray(rec["label"], dtype=np.float64),
-                digits=rec.get("digits"),
-            )
-        )
     return Dataset(header=header, instances=instances)
 
 

@@ -53,7 +53,6 @@ class TrainConfig:
     learner_steps: int = 1
     adversary_steps: int = 1
     weight_decay: float = 0.0
-    dropout: float = 0.0
     grad_clip: float = 5.0
     optimizer: str = "adam"
     adversary_optimizer: str = "adam"
@@ -182,10 +181,13 @@ def _stack_instances(instances):
 
 
 def _gradient_step(model, xb, yb, cfg, opt, params, sign, phase,
-                   outer, global_batch, perms=None):
+                   outer, global_batch):
     rng = np.random.default_rng(seed_chain(cfg.seed, 5501, global_batch))
     with GradTape() as tape:
-        if perms is not None:
+        if hasattr(model, "forward_train"):
+            # the sampled-permutation model reads each instance in a fresh
+            # uniform order at every step
+            perms = _sampled_perms(cfg, global_batch, *xb.shape[:2])
             preds = model.forward_train(Tensor(xb), perms)
         else:
             preds = model.forward(Tensor(xb), training=True, rng=rng)
@@ -193,8 +195,8 @@ def _gradient_step(model, xb, yb, cfg, opt, params, sign, phase,
     value = loss.item()
     if not np.isfinite(value) or abs(value) > cfg.divergence_limit:
         raise TrainingDiverged(
-            f"outer iteration {outer}, phase {phase}, batch {global_batch}: "
-            f"loss {value}"
+            f"diverged at outer iteration {outer}, phase {phase}, "
+            f"batch {global_batch}: loss {value}"
         )
     names = list(params.keys())
     grads = tape.gradient(loss, [params[k] for k in names])
@@ -214,8 +216,20 @@ def _sampled_perms(cfg, global_batch, batch, n):
 # checkpointing with optimizer state
 
 
+def _optimizer(cfg, group, kind=None):
+    """A fresh optimizer for a parameter group; weight decay is a learner
+    term only."""
+    if group == "learner":
+        return OptimizerState(kind or cfg.optimizer, lr=cfg.learner_lr,
+                              weight_decay=cfg.weight_decay)
+    return OptimizerState(kind or cfg.adversary_optimizer, lr=cfg.adversary_lr)
+
+
 def _save_train_checkpoint(directory, model, counters, optimizers):
     directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    # the optimizer blobs go in before save_checkpoint writes the manifest
+    (directory / "manifest.json").unlink(missing_ok=True)
     opt_meta = {}
     for group, opt in optimizers.items():
         arrays = opt.state_arrays()
@@ -224,11 +238,10 @@ def _save_train_checkpoint(directory, model, counters, optimizers):
             "step_count": opt.step_count,
             "tensors": sorted(arrays.keys()),
         }
+        for key, arr in arrays.items():
+            write_tensor_blob(directory / f"optimizer.{group}.{key}.sptn", arr)
     save_checkpoint(directory, model,
                     extra={"counters": counters, "optimizers": opt_meta})
-    for group, opt in optimizers.items():
-        for key, arr in opt.state_arrays().items():
-            write_tensor_blob(directory / f"optimizer.{group}.{key}.sptn", arr)
 
 
 def load_train_checkpoint(directory, cfg):
@@ -238,9 +251,7 @@ def load_train_checkpoint(directory, cfg):
     counters = extra["counters"]
     optimizers = {}
     for group, meta in extra["optimizers"].items():
-        lr = cfg.learner_lr if group == "learner" else cfg.adversary_lr
-        wd = cfg.weight_decay if group == "learner" else 0.0
-        opt = OptimizerState(meta["kind"], lr=lr, weight_decay=wd)
+        opt = _optimizer(cfg, group, meta["kind"])
         arrays = {
             key: read_tensor_blob(directory / f"optimizer.{group}.{key}.sptn")
             for key in meta["tensors"]
@@ -254,17 +265,12 @@ def load_train_checkpoint(directory, cfg):
 # training loops
 
 
-def train_span(model, instances, cfg, out_dir=None, resume_from=None):
-    """Alternating min-max training for models with an adversary group.
-
-    Per outer iteration: ``learner_steps`` descent steps on the learner
-    parameters with the permutation network frozen, then ``adversary_steps``
-    ascent steps on the permutation-network weight with the learner frozen.
-    Both phases draw from the same reshuffled batch stream.
-    """
+def _train(model, instances, cfg, out_dir, resume_from, phases):
+    """Block coordinate training.  Per outer iteration, each phase
+    (group, parameter method, sign, steps) takes ``steps`` optimizer steps
+    on the model's group in the direction ``sign`` while the other groups
+    stay frozen.  All phases draw from one reshuffled batch stream."""
     cfg.validate(len(instances))
-    if not instances:
-        raise ValueError("train_span: empty dataset")
     x_all, y_all = _stack_instances(instances)
     stream = _BatchStream(len(instances), cfg.batch_size, cfg.seed)
 
@@ -274,112 +280,54 @@ def train_span(model, instances, cfg, out_dir=None, resume_from=None):
         model, counters, optimizers = load_train_checkpoint(resume_from, cfg)
         start_iter = counters["outer_iter"]
         global_batch = counters["global_batch"]
-        learner_opt = optimizers["learner"]
-        adversary_opt = optimizers["adversary"]
     else:
-        learner_opt = OptimizerState(cfg.optimizer, lr=cfg.learner_lr,
-                                     weight_decay=cfg.weight_decay)
-        adversary_opt = OptimizerState(cfg.adversary_optimizer,
-                                       lr=cfg.adversary_lr)
+        optimizers = {group: _optimizer(cfg, group) for group, *_ in phases}
+    params = {}
+    for group, method, _sign, _steps in phases:
+        params[group] = getattr(model, method)()
+        if not params[group]:
+            raise ValueError(f"model has no {group} parameters")
 
-    learner_params = model.learner_parameters()
-    adversary_params = model.adversary_parameters()
-    if not adversary_params:
-        raise ValueError("train_span: model has no adversary parameters")
+    def checkpoint(outer_iter):
+        _save_train_checkpoint(
+            Path(out_dir) / "checkpoint", model,
+            {"outer_iter": outer_iter, "global_batch": global_batch}, optimizers,
+        )
 
     history = []
     for outer in range(start_iter, cfg.outer_iters):
-        for step in range(cfg.learner_steps):
-            idx = stream.batch(global_batch)
-            value = _gradient_step(
-                model, x_all[idx], y_all[idx], cfg, learner_opt,
-                learner_params, "minimize", "learner", outer + 1, global_batch,
-            )
-            global_batch += 1
-            history.append(HistoryRow(outer + 1, "learner", step + 1, value))
-        for step in range(cfg.adversary_steps):
-            idx = stream.batch(global_batch)
-            value = _gradient_step(
-                model, x_all[idx], y_all[idx], cfg, adversary_opt,
-                adversary_params, "maximize", "adversary", outer + 1,
-                global_batch,
-            )
-            global_batch += 1
-            history.append(HistoryRow(outer + 1, "adversary", step + 1, value))
+        for group, _method, sign, steps in phases:
+            for step in range(steps):
+                idx = stream.batch(global_batch)
+                value = _gradient_step(
+                    model, x_all[idx], y_all[idx], cfg, optimizers[group],
+                    params[group], sign, group, outer + 1, global_batch,
+                )
+                global_batch += 1
+                history.append(HistoryRow(outer + 1, group, step + 1, value))
         if out_dir is not None and cfg.checkpoint_every > 0 \
                 and (outer + 1) % cfg.checkpoint_every == 0:
-            _save_train_checkpoint(
-                Path(out_dir) / "checkpoint", model,
-                {"outer_iter": outer + 1, "global_batch": global_batch},
-                {"learner": learner_opt, "adversary": adversary_opt},
-            )
+            checkpoint(outer + 1)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _save_train_checkpoint(
-            out_dir / "checkpoint", model,
-            {"outer_iter": cfg.outer_iters, "global_batch": global_batch},
-            {"learner": learner_opt, "adversary": adversary_opt},
-        )
-        save_history(out_dir / "history.csv", history)
+        checkpoint(cfg.outer_iters)
+        save_history(Path(out_dir) / "history.csv", history)
     return history
+
+
+def train_span(model, instances, cfg, out_dir=None, resume_from=None):
+    """Alternating min-max training: per outer iteration, ``learner_steps``
+    descent steps on the learner with the permutation network frozen, then
+    ``adversary_steps`` ascent steps on the permutation network with the
+    learner frozen.  Raises ValueError for a model without an adversary."""
+    return _train(model, instances, cfg, out_dir, resume_from, [
+        ("learner", "learner_parameters", "minimize", cfg.learner_steps),
+        ("adversary", "adversary_parameters", "maximize", cfg.adversary_steps),
+    ])
 
 
 def train_standard(model, instances, cfg, out_dir=None, resume_from=None):
-    """Plain minimization for the baselines.
-
-    Runs ``outer_iters`` x ``learner_steps`` optimizer steps; the sampled
-    permutation model draws one fresh uniform permutation per instance per
-    step.
-    """
-    cfg.validate(len(instances))
-    if not instances:
-        raise ValueError("train_standard: empty dataset")
-    x_all, y_all = _stack_instances(instances)
-    stream = _BatchStream(len(instances), cfg.batch_size, cfg.seed)
-
-    start_iter = 0
-    global_batch = 0
-    if resume_from is not None:
-        model, counters, optimizers = load_train_checkpoint(resume_from, cfg)
-        start_iter = counters["outer_iter"]
-        global_batch = counters["global_batch"]
-        opt = optimizers["learner"]
-    else:
-        opt = OptimizerState(cfg.optimizer, lr=cfg.learner_lr,
-                             weight_decay=cfg.weight_decay)
-
-    params = model.learner_parameters()
-    uses_perms = hasattr(model, "forward_train")
-    n = x_all.shape[1]
-
-    history = []
-    for outer in range(start_iter, cfg.outer_iters):
-        for step in range(cfg.learner_steps):
-            idx = stream.batch(global_batch)
-            perms = None
-            if uses_perms:
-                perms = _sampled_perms(cfg, global_batch, len(idx), n)
-            value = _gradient_step(
-                model, x_all[idx], y_all[idx], cfg, opt, params,
-                "minimize", "learner", outer + 1, global_batch, perms=perms,
-            )
-            global_batch += 1
-            history.append(HistoryRow(outer + 1, "learner", step + 1, value))
-        if out_dir is not None and cfg.checkpoint_every > 0 \
-                and (outer + 1) % cfg.checkpoint_every == 0:
-            _save_train_checkpoint(
-                Path(out_dir) / "checkpoint", model,
-                {"outer_iter": outer + 1, "global_batch": global_batch},
-                {"learner": opt},
-            )
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _save_train_checkpoint(
-            out_dir / "checkpoint", model,
-            {"outer_iter": cfg.outer_iters, "global_batch": global_batch},
-            {"learner": opt},
-        )
-        save_history(out_dir / "history.csv", history)
-    return history
+    """Plain minimization for the baselines: ``outer_iters`` x
+    ``learner_steps`` optimizer steps on the learner group."""
+    return _train(model, instances, cfg, out_dir, resume_from, [
+        ("learner", "learner_parameters", "minimize", cfg.learner_steps),
+    ])

@@ -22,6 +22,17 @@ def write_config(path, cfg):
     return str(path)
 
 
+# a small model block of every kind, for the percentile config below
+MODEL_BLOCKS = {
+    "span": {"hidden": 6, "tau": 0.5, "sinkhorn_iters": 6, "input_scale": 0.1},
+    "span-fc": {"width": 8, "tau": 0.5, "sinkhorn_iters": 6, "input_scale": 0.1},
+    "span-no-apn": {"hidden": 6, "input_scale": 0.1},
+    "deepsets": {"width": 8, "dropout_rate": 0.2},
+    "janossy": {"k": 2, "width": 8, "dropout_rate": 0.1},
+    "pisgd": {"hidden": 6, "permutations": 5, "input_scale": 0.1},
+}
+
+
 def percentile_config(tmp_path, **train_overrides):
     train = {
         "loss": "mse", "learner_lr": 1e-3, "adversary_lr": 1e-3,
@@ -156,16 +167,21 @@ class TestCommands:
         assert (run / "history.csv").exists()
         assert (run / "manifest.json").exists()
 
-    def test_train_deterministic_across_runs(self, tmp_path):
-        cfg = percentile_config(tmp_path)
+    @pytest.mark.parametrize("kind", sorted(MODEL_BLOCKS))
+    def test_train_deterministic_across_runs(self, tmp_path, kind):
+        cfg = percentile_config(tmp_path, checkpoint_every=1)
+        cfg["model"] = dict(MODEL_BLOCKS[kind], kind=kind, seed=1)
         cfg_path = write_config(tmp_path / "cfg.json", cfg)
-        main(["train", "--config", cfg_path, "--out", str(tmp_path / "r1")])
-        main(["train", "--config", cfg_path, "--out", str(tmp_path / "r2")])
+        for run in ("r1", "r2"):
+            assert main(["train", "--config", cfg_path,
+                         "--out", str(tmp_path / run)]) == 0
         a = sorted((tmp_path / "r1" / "checkpoint").iterdir())
         b = sorted((tmp_path / "r2" / "checkpoint").iterdir())
         assert [f.name for f in a] == [f.name for f in b]
         for fa, fb in zip(a, b):
             assert fa.read_bytes() == fb.read_bytes(), fa.name
+        assert (tmp_path / "r1" / "history.csv").read_bytes() == \
+            (tmp_path / "r2" / "history.csv").read_bytes()
 
     def test_train_then_eval(self, tmp_path):
         cfg = percentile_config(tmp_path)
@@ -241,6 +257,80 @@ class TestCommands:
         assert main(["sweep", "--config", cfg_path,
                      "--out", str(tmp_path / "sweepout")]) == 2
         assert "empty test split" in capsys.readouterr().err
+
+
+class TestUserErrorsExit2:
+    """A bad config, dataset or checkpoint and a diverged run each exit 2
+    with a single ``error:`` line."""
+
+    def run_main(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err, err
+        return code, err
+
+    def test_removed_dropout_train_key(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "cfg.json",
+                                percentile_config(tmp_path, dropout=0.9))
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        assert code == 2 and "dropout" in err
+
+    def test_task_missing_required_key(self, tmp_path, capsys):
+        cfg = percentile_config(tmp_path)
+        del cfg["task"]["n"]
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        code, err = self.run_main(["gen", "--config", cfg_path], capsys)
+        assert code == 2 and "missing keys: n" in err
+
+    def test_diverged_run(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "cfg.json",
+                                percentile_config(tmp_path, divergence_limit=1e-9))
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        assert code == 2 and "outer iteration 1" in err
+
+    def test_eval_checkpoint_without_manifest(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "cfg.json", percentile_config(tmp_path))
+        (tmp_path / "empty").mkdir()
+        code, err = self.run_main(["eval", "--config", cfg_path, "--checkpoint",
+                                   str(tmp_path / "empty")], capsys)
+        assert code == 2 and "manifest.json" in err
+
+    def test_eval_checkpoint_with_bad_blob(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "cfg.json", percentile_config(tmp_path))
+        assert main(["train", "--config", cfg_path]) == 0
+        ckpt = tmp_path / "run" / "checkpoint"
+        (ckpt / "readout.weight.sptn").write_bytes(b"not a blob")
+        capsys.readouterr()
+        code, err = self.run_main(["eval", "--config", cfg_path,
+                                   "--checkpoint", str(ckpt)], capsys)
+        assert code == 2 and "readout.weight.sptn" in err
+
+    @pytest.mark.parametrize("manifest", [
+        '{"format": 1, "model": {"kind": "span"',
+        '{"format": 1, "model": {"kind": "span", "n": 8, "d": 1, "L": 1, "hiden": 3}}',
+    ])
+    def test_eval_checkpoint_with_bad_manifest(self, tmp_path, capsys, manifest):
+        cfg_path = write_config(tmp_path / "cfg.json", percentile_config(tmp_path))
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "manifest.json").write_text(manifest)
+        code, err = self.run_main(["eval", "--config", cfg_path,
+                                   "--checkpoint", str(ckpt)], capsys)
+        assert code == 2 and "manifest.json" in err
+
+    def test_oracle_verify_malformed_jsonl(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "cfg.json", {
+            "task": {"kind": "percentile", "n": 6, "r": 50, "count": 3, "seed": 2},
+        })
+        out = tmp_path / "data"
+        assert main(["gen", "--config", cfg_path, "--out", str(out)]) == 0
+        data = out / "dataset.jsonl"
+        lines = data.read_text().splitlines()
+        lines[2] = lines[2][:-5]  # truncate the second record
+        data.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code, err = self.run_main(["oracle-verify", "--config", str(data)], capsys)
+        assert code == 2 and f"{data}:3:" in err
 
 
 class TestSweepWorkers:

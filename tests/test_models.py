@@ -13,7 +13,6 @@ from spanlab.models import (
     save_checkpoint,
     tuple_index_array,
 )
-from spanlab.nn import lstm_forward
 from spanlab.tensor import (
     GradTape,
     ShapeMismatch,
@@ -30,8 +29,8 @@ class TestSpanModel:
     def test_single_element_set(self):
         m = SpanModel(n=1, d=3, L=2, hidden=4, sinkhorn_iters=5, seed=0)
         x = rng_set(0, n=1)
-        direct_h = lstm_forward(m.lstm, Tensor(x))
-        expected = m.readout.forward(direct_h.reshape((1, 4))).data.reshape(2)
+        direct_h = m.lstm.run(Tensor(x.reshape(1, 1, 3)))
+        expected = m.readout.forward(direct_h).data.reshape(2)
         np.testing.assert_allclose(m.predict(x), expected, atol=1e-12)
 
     def test_zero_pn_weight_bit_invariant(self):

@@ -8,7 +8,6 @@ from spanlab.nn import (
     adam_step,
     clip_global_norm,
     dropout,
-    lstm_forward,
     optimizer_step,
     sgd_step,
     xavier_init,
@@ -81,17 +80,17 @@ class TestLSTM:
         for p in cell.parameters().values():
             p.data = np.zeros_like(p.data)
         rng = np.random.default_rng(0)
-        h = lstm_forward(cell, Tensor(rng.normal(size=(6, 3))))
-        np.testing.assert_array_equal(h.data, np.zeros(4))
+        h = cell.run(Tensor(rng.normal(size=(1, 6, 3))))
+        np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
 
     def test_length_one_equals_single_step(self):
         cell = LSTMCell(3, 5, seed=4)
         x = np.random.default_rng(1).normal(size=(1, 3))
-        h_seq = lstm_forward(cell, Tensor(x))
+        h_seq = cell.run(Tensor(x.reshape(1, 1, 3)))
         h0 = Tensor(np.zeros((1, 5)))
         c0 = Tensor(np.zeros((1, 5)))
         h_step, _ = cell.step(Tensor(x), h0, c0)
-        np.testing.assert_array_equal(h_seq.data, h_step.data.reshape(5))
+        np.testing.assert_array_equal(h_seq.data, h_step.data)
 
     def test_order_sensitivity(self):
         cell = LSTMCell(2, 6, seed=7)
@@ -100,19 +99,17 @@ class TestLSTM:
         seq = rng.normal(size=(5, 2))
 
         def predict(x):
-            h = lstm_forward(cell, Tensor(x))
-            return readout.forward(h.reshape((1, 6))).item()
+            return readout.forward(cell.run(Tensor(x[None]))).item()
 
         assert predict(seq) != predict(seq[::-1].copy())
 
     def test_gradient_through_ten_steps(self):
         cell = LSTMCell(2, 3, seed=11)
         readout = LinearLayer(3, 1, seed=12)
-        seq = Tensor(np.random.default_rng(13).normal(size=(10, 2)))
+        seq = Tensor(np.random.default_rng(13).normal(size=(1, 10, 2)))
 
         def f(_):
-            h = lstm_forward(cell, seq)
-            return readout.forward(h.reshape((1, 3))).sum()
+            return readout.forward(cell.run(seq)).sum()
 
         for p in list(cell.parameters().values()) + [readout.weight]:
             err = finite_difference_check(lambda t, p=p: f(t), p)
@@ -121,7 +118,7 @@ class TestLSTM:
     def test_input_dim_mismatch(self):
         cell = LSTMCell(3, 4, seed=0)
         with pytest.raises(ShapeMismatch):
-            lstm_forward(cell, Tensor(np.zeros((5, 2))))
+            cell.run(Tensor(np.zeros((1, 5, 2))))
 
     def test_batched_matches_loop(self):
         cell = LSTMCell(2, 4, seed=3)
@@ -129,8 +126,8 @@ class TestLSTM:
         batch = rng.normal(size=(3, 6, 2))
         stacked = cell.run(Tensor(batch)).data
         for b in range(3):
-            single = lstm_forward(cell, Tensor(batch[b])).data
-            np.testing.assert_allclose(stacked[b], single, rtol=0, atol=1e-14)
+            single = cell.run(Tensor(batch[b][None])).data
+            np.testing.assert_allclose(stacked[b], single[0], rtol=0, atol=1e-14)
 
 
 class TestAdam:

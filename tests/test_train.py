@@ -150,6 +150,33 @@ class TestDeterminismAndResume:
         assert (tmp_path / "a" / "history.csv").read_bytes() == \
             (tmp_path / "b" / "history.csv").read_bytes()
 
+    def test_torn_periodic_checkpoint_does_not_load(self, tmp_path, monkeypatch):
+        import spanlab.models
+        import spanlab.train
+        from spanlab.models import CheckpointError, load_checkpoint
+        from spanlab.tensor import write_tensor_blob
+
+        model = tiny_span_model(seed=8)
+        # one blob per parameter plus its two Adam moments
+        per_save = 3 * len(model.parameters())
+        calls = []
+
+        def failing_write(path, arr):
+            calls.append(path)
+            if len(calls) == per_save + 5:  # partway through the second save
+                raise OSError("disk full")
+            write_tensor_blob(path, arr)
+
+        monkeypatch.setattr(spanlab.models, "write_tensor_blob", failing_write)
+        monkeypatch.setattr(spanlab.train, "write_tensor_blob", failing_write)
+        cfg = TrainConfig(batch_size=4, outer_iters=2, learner_lr=1e-3,
+                          adversary_lr=1e-3, checkpoint_every=1, seed=8)
+        with pytest.raises(OSError, match="disk full"):
+            train_span(model, percentile_instances(16, seed=8), cfg,
+                       out_dir=tmp_path)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path / "checkpoint")
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         data = percentile_instances(16, seed=6)
 
