@@ -195,6 +195,16 @@ def split_fractions(cfg):
     return train, val, test
 
 
+def _unbiased_test_split(task):
+    """The unbiased test set of a biased digit task, or None."""
+    if task["kind"] != "maxdigit" or not task.get("biased", False):
+        return None
+    return dataset_from_task(
+        task, count=task.get("test_count", max(1, task["count"] // 4)),
+        seed=seed_chain(task.get("seed", 0), 1), biased=False,
+    )
+
+
 def prepare_splits(cfg):
     """Dataset plus (train, val, test) instance lists.
 
@@ -205,22 +215,15 @@ def prepare_splits(cfg):
     dataset = dataset_from_task(task)
     f_train, f_val, _ = split_fractions(cfg)
     count = len(dataset)
-    if task["kind"] == "maxdigit" and task.get("biased", False):
-        n_train = int(count * f_train)
-        n_val = int(count * f_val)
-        test_count = task.get("test_count", max(1, count // 4))
-        test_ds = dataset_from_task(
-            task, count=test_count,
-            seed=seed_chain(task.get("seed", 0), 1), biased=False,
-        )
-        train_insts = dataset.instances[:n_train]
-        val_insts = dataset.instances[n_train: n_train + n_val]
-        return dataset, train_insts, val_insts, test_ds.instances
+    n_train = int(count * f_train)
+    n_val = int(count * f_val)
+    test_ds = _unbiased_test_split(task)
+    if test_ds is not None:
+        return (dataset, dataset.instances[:n_train],
+                dataset.instances[n_train: n_train + n_val], test_ds.instances)
     order = np.random.default_rng(
         seed_chain(task.get("seed", 0), 8801)
     ).permutation(count)
-    n_train = int(count * f_train)
-    n_val = int(count * f_val)
     pick = lambda idx: [dataset.instances[i] for i in idx]
     return (
         dataset,
@@ -341,12 +344,8 @@ def cmd_gen(cfg, out_dir, args):
     dataset = dataset_from_task(cfg["task"])
     save_dataset(out_dir / "dataset.jsonl", dataset)
     written = ["dataset.jsonl"]
-    task = cfg["task"]
-    if task["kind"] == "maxdigit" and task.get("biased", False):
-        test_ds = dataset_from_task(
-            task, count=task.get("test_count", max(1, task["count"] // 4)),
-            seed=seed_chain(task.get("seed", 0), 1), biased=False,
-        )
+    test_ds = _unbiased_test_split(cfg["task"])
+    if test_ds is not None:
         save_dataset(out_dir / "dataset_test.jsonl", test_ds)
         written.append("dataset_test.jsonl")
     write_manifest(out_dir, "gen", cfg)
@@ -425,12 +424,18 @@ def _set_path(cfg, dotted, value):
     node[parts[-1]] = value
 
 
-def _run_sweep_trial(payload):
-    cfg, assignment, out_root = payload
+def _trial_config(cfg, assignment):
+    """The sweep config with one grid assignment applied and no sweep block."""
     trial = copy.deepcopy(cfg)
     trial.pop("sweep", None)
     for path, value in assignment:
         _set_path(trial, path, value)
+    return trial
+
+
+def _run_sweep_trial(payload):
+    cfg, assignment, out_root = payload
+    trial = _trial_config(cfg, assignment)
     validate_config(trial, require=("task", "model", "train"))
     label = "_".join(f"{p.split('.')[-1]}={v}" for p, v in assignment) or "base"
     out_dir = Path(out_root) / f"trial_{label}"
@@ -494,10 +499,7 @@ def cmd_sweep(cfg, out_dir, args):
     )
 
     # test metrics for the winner
-    winner_cfg = copy.deepcopy(cfg)
-    winner_cfg.pop("sweep", None)
-    for path, value in best["assignment"]:
-        _set_path(winner_cfg, path, value)
+    winner_cfg = _trial_config(cfg, best["assignment"])
     model, _extra = load_checkpoint(Path(best["out_dir"]) / "checkpoint")
     dataset, _t, _v, test_insts = prepare_splits(winner_cfg)
     rows = evaluate_model(model, dataset, test_insts,

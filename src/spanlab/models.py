@@ -84,6 +84,10 @@ class _ModelBase:
             setattr(self, name, bound.arguments[name])
         return self
 
+    def __getnewargs_ex__(self):
+        # copy and pickle rebuild through __new__, which binds these
+        return (), {name: getattr(self, name) for name in constructor_args(type(self))}
+
     @property
     def out_dim(self):
         return self.L

@@ -55,8 +55,7 @@ class LinearLayer:
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeMismatch("linear_forward", x.shape, (None, self.in_dim))
-        batch = x.shape[0]
-        out = x @ self.weight + self.bias.reshape((1, self.out_dim)).tile((batch, 1))
+        out = x @ self.weight + self.bias
         if self.activation == "relu":
             out = out.relu()
         elif self.activation == "tanh":
@@ -90,12 +89,10 @@ class LSTMCell:
 
     def step(self, x, h, c):
         """One recurrence step on a batch: x (B,in), h/c (B,hidden)."""
-        batch = x.shape[0]
         z = concat([x, h], axis=1)
 
         def gate(name):
-            b = self.biases[name].reshape((1, self.hidden_dim)).tile((batch, 1))
-            return z @ self.weights[name] + b
+            return z @ self.weights[name] + self.biases[name]
 
         i = gate("i").sigmoid()
         f = gate("f").sigmoid()

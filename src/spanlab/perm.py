@@ -86,16 +86,11 @@ def sinkhorn(logits, temperature, iterations):
     if not np.isfinite(logits.data).all():
         raise DomainError("sinkhorn: logits must be finite")
 
-    row_axis = len(shape) - 1  # normalize across columns -> unit row sums
-    col_axis = len(shape) - 2
-    n = shape[-1]
-    reps_row = (1,) * (len(shape) - 1) + (n,)
-    reps_col = (1,) * (len(shape) - 2) + (n, 1)
-
     log_p = logits * (1.0 / temperature)
     for _ in range(iterations):
-        log_p = log_p - log_p.logsumexp(axis=row_axis, keepdims=True).tile(reps_row)
-        log_p = log_p - log_p.logsumexp(axis=col_axis, keepdims=True).tile(reps_col)
+        # normalize across columns (unit row sums), then across rows
+        log_p = log_p - log_p.logsumexp(axis=-1, keepdims=True)
+        log_p = log_p - log_p.logsumexp(axis=-2, keepdims=True)
     return log_p.exp()
 
 
@@ -134,19 +129,9 @@ class PermutationNetwork:
         """Soft permutation for one set (n,d) or a batch (B,n,d)."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        if x.ndim == 2:
-            if x.shape != (self.n, self.d):
-                raise ShapeMismatch("pn_forward", x.shape, (self.n, self.d))
-            logits = (x @ self.weight).relu()
-        elif x.ndim == 3:
-            if x.shape[1:] != (self.n, self.d):
-                raise ShapeMismatch("pn_forward", x.shape, (None, self.n, self.d))
-            batch = x.shape[0]
-            w = self.weight.reshape((1, self.d, self.n)).tile((batch, 1, 1))
-            logits = (x @ w).relu()
-        else:
-            raise ShapeMismatch("pn_forward", x.shape)
-        return sinkhorn(logits, self.temperature, self.iterations)
+        if x.ndim not in (2, 3) or x.shape[-2:] != (self.n, self.d):
+            raise ShapeMismatch("pn_forward", x.shape, (self.n, self.d))
+        return sinkhorn((x @ self.weight).relu(), self.temperature, self.iterations)
 
     def parameters(self):
         return {"weight": self.weight}

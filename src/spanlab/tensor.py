@@ -3,9 +3,9 @@
 Every differentiable computation in this package (LSTM steps, Sinkhorn
 iterations, losses) is built from the primitives here.  Ops record a backward
 rule on the active ``GradTape``; ``GradTape.backward`` replays the rules in
-reverse order.  There is no implicit broadcasting: elementwise operands must
-have identical shapes, and shape adaptation goes through explicit ``reshape``
-and ``tile`` calls.
+reverse order.  Elementwise ops broadcast by NumPy's rule, and each operand's
+gradient is summed back over the axes it was broadcast along; shapes that do
+not broadcast raise ``ShapeMismatch``.
 """
 
 from __future__ import annotations
@@ -228,22 +228,6 @@ class Tensor:
     def T(self):
         return self.transpose()
 
-    def tile(self, reps):
-        """Repeat the tensor ``reps[k]`` times along each axis k."""
-        reps = tuple(int(r) for r in reps)
-        if len(reps) != self.ndim:
-            raise ShapeMismatch("tile", self.shape, reps)
-        shape = self.shape
-
-        def backward(g):
-            # np.tile lays copies out in blocks: fold (r0,s0,r1,s1,...) and
-            # sum over the repetition axes.
-            interleaved = tuple(x for pair in zip(reps, shape) for x in pair)
-            rep_axes = tuple(range(0, 2 * len(shape), 2))
-            return (g.reshape(interleaved).sum(axis=rep_axes),)
-
-        return _record("tile", (self,), np.tile(self.data, reps), backward)
-
     def slice(self, axis, start, stop):
         """Contiguous sub-tensor along one axis."""
         shape = self.shape
@@ -324,19 +308,40 @@ def _as_operand(op, other):
     return float(arr)
 
 
+def _binary(op, a, b, fn, grads):
+    """Elementwise ``fn`` on NumPy-broadcast operands; ``grads(g, da, db)``
+    gives the operand gradients at the broadcast shape."""
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeMismatch(op, a.shape, b.shape) from None
+    da, db = a.data, b.data
+
+    def backward(g):
+        ga, gb = grads(g, da, db)
+        return _unbroadcast(ga, da.shape), _unbroadcast(gb, db.shape)
+
+    return _record(op, (a, b), fn(da, db), backward)
+
+
+def _unbroadcast(g, shape):
+    """Sum a gradient over the axes along which ``shape`` was broadcast."""
+    if g.shape == shape:
+        return g
+    padded = (1,) * (g.ndim - len(shape)) + shape
+    axes = tuple(k for k, s in enumerate(padded) if s == 1)
+    return np.sum(g, axis=axes, keepdims=True).reshape(shape)
+
+
 def _add(a, b):
     b = _as_operand("add", b)
     if isinstance(b, float):
         return _record("add", (a,), a.data + b, lambda g: (g,))
-    if a.shape != b.shape:
-        raise ShapeMismatch("add", a.shape, b.shape)
-    return _record("add", (a, b), a.data + b.data, lambda g: (g, g))
+    return _binary("add", a, b, np.add, lambda g, da, db: (g, g))
 
 
 def _sub(a, b):
-    if a.shape != b.shape:
-        raise ShapeMismatch("sub", a.shape, b.shape)
-    return _record("sub", (a, b), a.data - b.data, lambda g: (g, -g))
+    return _binary("sub", a, b, np.subtract, lambda g, da, db: (g, -g))
 
 
 def _scale(a, factor, offset):
@@ -348,37 +353,34 @@ def _mul(a, b):
     b = _as_operand("mul", b)
     if isinstance(b, float):
         return _scale(a, b, 0.0)
-    if a.shape != b.shape:
-        raise ShapeMismatch("mul", a.shape, b.shape)
-    da, db = a.data, b.data
-    return _record("mul", (a, b), da * db, lambda g: (g * db, g * da))
+    return _binary("mul", a, b, np.multiply, lambda g, da, db: (g * db, g * da))
 
 
 def _div(a, b):
-    if a.shape != b.shape:
-        raise ShapeMismatch("div", a.shape, b.shape)
     if np.any(b.data == 0.0):
         raise DomainError("div: divisor has zero entries")
-    da, db = a.data, b.data
-    return _record("div", (a, b), da / db,
-                   lambda g: (g / db, -g * da / (db * db)))
+    return _binary("div", a, b, np.divide,
+                   lambda g, da, db: (g / db, -g * da / (db * db)))
 
 
 def _matmul(a, b):
+    """Rank-2 or batched rank-3 product; a rank-2 right operand is shared by
+    every matrix of a rank-3 batch and its gradient summed over the batch."""
     if not isinstance(b, Tensor):
         raise ShapeMismatch("matmul", a.shape, np.shape(b))
     da, db = a.data, b.data
     ok = (
-        da.ndim == db.ndim
-        and da.ndim in (2, 3)
+        da.ndim in (2, 3)
+        and db.ndim in (2, da.ndim)
         and da.shape[-1] == db.shape[-2]
-        and da.shape[:-2] == db.shape[:-2]
+        and (db.ndim == 2 or da.shape[:-2] == db.shape[:-2])
     )
     if not ok:
         raise ShapeMismatch("matmul", da.shape, db.shape)
 
     def backward(g):
-        return (g @ np.swapaxes(db, -1, -2), np.swapaxes(da, -1, -2) @ g)
+        return (g @ np.swapaxes(db, -1, -2),
+                _unbroadcast(np.swapaxes(da, -1, -2) @ g, db.shape))
 
     return _record("matmul", (a, b), da @ db, backward)
 

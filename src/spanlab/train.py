@@ -295,22 +295,27 @@ def _train(model, instances, cfg, out_dir, resume_from, phases):
         )
 
     history = []
-    for outer in range(start_iter, cfg.outer_iters):
-        for group, _method, sign, steps in phases:
-            for step in range(steps):
-                idx = stream.batch(global_batch)
-                value = _gradient_step(
-                    model, x_all[idx], y_all[idx], cfg, optimizers[group],
-                    params[group], sign, group, outer + 1, global_batch,
-                )
-                global_batch += 1
-                history.append(HistoryRow(outer + 1, group, step + 1, value))
-        if out_dir is not None and cfg.checkpoint_every > 0 \
-                and (outer + 1) % cfg.checkpoint_every == 0:
-            checkpoint(outer + 1)
-    if out_dir is not None:
-        checkpoint(cfg.outer_iters)
-        save_history(Path(out_dir) / "history.csv", history)
+    try:
+        for outer in range(start_iter, cfg.outer_iters):
+            for group, _method, sign, steps in phases:
+                for step in range(steps):
+                    idx = stream.batch(global_batch)
+                    value = _gradient_step(
+                        model, x_all[idx], y_all[idx], cfg, optimizers[group],
+                        params[group], sign, group, outer + 1, global_batch,
+                    )
+                    global_batch += 1
+                    history.append(HistoryRow(outer + 1, group, step + 1, value))
+            if out_dir is not None and cfg.checkpoint_every > 0 \
+                    and (outer + 1) % cfg.checkpoint_every == 0:
+                checkpoint(outer + 1)
+        if out_dir is not None:
+            checkpoint(cfg.outer_iters)
+    finally:
+        # also keeps the rows that led up to a divergence
+        if out_dir is not None:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+            save_history(Path(out_dir) / "history.csv", history)
     return history
 
 

@@ -15,6 +15,7 @@ from spanlab.cli import (
     validate_config,
 )
 from spanlab.tasks import load_dataset
+from spanlab.train import load_history
 
 
 def write_config(path, cfg):
@@ -287,6 +288,23 @@ class TestUserErrorsExit2:
                                 percentile_config(tmp_path, divergence_limit=1e-9))
         code, err = self.run_main(["train", "--config", cfg_path], capsys)
         assert code == 2 and "outer iteration 1" in err
+
+    def test_diverged_run_keeps_its_history(self, tmp_path, capsys):
+        # with lr 1e-3 the third batch loss (21.4) is the first above 21
+        full_cfg = percentile_config(tmp_path / "full")
+        assert main(["train", "--config",
+                     write_config(tmp_path / "full.json", full_cfg)]) == 0
+        full = load_history(tmp_path / "full" / "run" / "history.csv")
+        tripped = next(k for k, row in enumerate(full) if row.batch_loss > 21.0)
+        assert 0 < tripped < len(full)
+
+        cfg_path = write_config(tmp_path / "cfg.json",
+                                percentile_config(tmp_path, divergence_limit=21.0))
+        capsys.readouterr()
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        assert code == 2 and f"outer iteration {full[tripped].outer_iter}" in err
+        kept = load_history(tmp_path / "run" / "history.csv")
+        assert kept == full[:tripped]
 
     def test_eval_checkpoint_without_manifest(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "cfg.json", percentile_config(tmp_path))

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -230,15 +233,20 @@ class TestPiSgd:
         )
 
 
+# one small model of every kind
+MODEL_FACTORIES = [
+    lambda: SpanModel(n=4, d=2, L=1, hidden=6, sinkhorn_iters=10, seed=26),
+    lambda: SpanNoApnModel(n=4, d=2, L=1, hidden=6, seed=27),
+    lambda: SpanFcModel(n=4, d=2, L=1, width=6, sinkhorn_iters=10, seed=28),
+    lambda: DeepSetsModel(d=2, L=1, width=6, seed=29),
+    lambda: JanossyModel(d=2, L=1, k=2, width=6, seed=30),
+    lambda: PiSgdModel(n=4, d=2, L=1, hidden=6, seed=31),
+]
+MODEL_FACTORY_IDS = ["span", "span-no-apn", "span-fc", "deepsets", "janossy", "pisgd"]
+
+
 class TestCheckpoints:
-    @pytest.mark.parametrize("factory", [
-        lambda: SpanModel(n=4, d=2, L=1, hidden=6, sinkhorn_iters=10, seed=26),
-        lambda: SpanNoApnModel(n=4, d=2, L=1, hidden=6, seed=27),
-        lambda: SpanFcModel(n=4, d=2, L=1, width=6, sinkhorn_iters=10, seed=28),
-        lambda: DeepSetsModel(d=2, L=1, width=6, seed=29),
-        lambda: JanossyModel(d=2, L=1, k=2, width=6, seed=30),
-        lambda: PiSgdModel(n=4, d=2, L=1, hidden=6, seed=31),
-    ])
+    @pytest.mark.parametrize("factory", MODEL_FACTORIES)
     def test_round_trip_bit_exact(self, tmp_path, factory):
         model = factory()
         # move parameters off their init values so loading is a real test
@@ -259,6 +267,26 @@ class TestCheckpoints:
         for name in ["manifest.json"] + [f"{k}.sptn" for k in model.parameters()]:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("factory", MODEL_FACTORIES, ids=MODEL_FACTORY_IDS)
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy,
+        lambda m: pickle.loads(pickle.dumps(m)),
+    ], ids=["deepcopy", "pickle"])
+    def test_copy_round_trip(self, factory, clone):
+        model = factory()
+        for p in model.parameters().values():
+            p.data = p.data + 0.01 * np.random.default_rng(1).normal(size=p.shape)
+        copied = clone(model)
+        assert copied.spec() == model.spec()
+        params = model.parameters()
+        copied_params = copied.parameters()
+        assert list(copied_params) == list(params)
+        for name, p in params.items():
+            assert copied_params[name] is not p
+            assert copied_params[name].data.tobytes() == p.data.tobytes()
+        x = np.stack([rng_set(35 + k, n=4, d=2) for k in range(3)])
+        assert copied.predict_batch(x).tobytes() == model.predict_batch(x).tobytes()
 
     def test_build_model_round_trip(self):
         model = DeepSetsModel(d=3, L=2, width=8, pooling="max", seed=34)

@@ -69,12 +69,16 @@ class TestForwardValues:
         np.testing.assert_array_equal(cat.slice(0, 1, 2).data, [[3.0, 4.0]])
         np.testing.assert_array_equal(cat.T.data, [[1.0, 3.0], [2.0, 4.0]])
 
-    def test_tile_reshape(self):
+    def test_reshape(self):
         x = Tensor([[1.0, 2.0]])
-        np.testing.assert_array_equal(
-            x.tile((2, 1)).data, [[1.0, 2.0], [1.0, 2.0]]
-        )
         np.testing.assert_array_equal(x.reshape((2,)).data, [1.0, 2.0])
+
+    def test_elementwise_broadcasts(self):
+        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal((a + Tensor([10.0, 20.0])).data,
+                                      [[11.0, 22.0], [13.0, 24.0]])
+        np.testing.assert_array_equal((Tensor([[2.0], [4.0]]) / a).data,
+                                      [[2.0, 1.0], [4.0 / 3.0, 1.0]])
 
     def test_permute_and_gather(self):
         x = Tensor([[0.0], [1.0], [2.0]])
@@ -89,9 +93,9 @@ class TestForwardValues:
 class TestShapeAndDomainErrors:
     def test_elementwise_mismatch(self):
         with pytest.raises(ShapeMismatch) as info:
-            Tensor([1.0]) + Tensor([1.0, 2.0])
+            Tensor([1.0, 2.0]) + Tensor([1.0, 2.0, 3.0])
         assert "add" in str(info.value)
-        assert "(1,)" in str(info.value) and "(2,)" in str(info.value)
+        assert "(2,)" in str(info.value) and "(3,)" in str(info.value)
 
     def test_matmul_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -202,7 +206,6 @@ FD_CASES = [
     ("logsumexp", lambda x: x.logsumexp(axis=0), 1),
     ("transpose", lambda x: x.T, 1),
     ("reshape", lambda x: x.reshape((x.size,)), 1),
-    ("tile", lambda x: x.tile((2, 3)), 1),
     ("slice", lambda x: x.slice(1, 1, 3), 1),
 ]
 
@@ -248,6 +251,47 @@ def test_primitive_gradients_match_finite_differences(name, fn, arity):
     err = finite_difference_check(f, x, h=1e-5)
     limit = 1e-4 if name in ("relu", "max_axis") else 1e-6
     assert err <= limit, f"{name}: finite-difference mismatch {err}"
+
+
+BROADCAST_OPS = {
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+    "div": lambda x, y: x / y,
+}
+
+
+@pytest.mark.parametrize("full_first", [True, False], ids=["full-first", "full-second"])
+@pytest.mark.parametrize("small_shape", [(5,), (1, 5), (4, 1)], ids=str)
+@pytest.mark.parametrize("name", sorted(BROADCAST_OPS))
+def test_broadcast_gradients_match_finite_differences(name, small_shape, full_first):
+    """Both operands' gradients, including the one summed over the axes it
+    was broadcast along, agree with central differences."""
+    rng = np.random.default_rng(17)
+
+    def values(shape):
+        # magnitudes in [0.5, 2] keep every divisor away from zero
+        return rng.uniform(0.5, 2.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+
+    full = Tensor(values((4, 5)), trainable=True)
+    small = Tensor(values(small_shape), trainable=True)
+    wout = Tensor(rng.normal(size=(4, 5)))
+    op = BROADCAST_OPS[name]
+
+    def loss(a, b):
+        return ((op(a, b) if full_first else op(b, a)) * wout).sum()
+
+    assert finite_difference_check(lambda t: loss(t, small), full) <= 1e-6
+    assert finite_difference_check(lambda t: loss(full, t), small) <= 1e-6
+
+
+def test_batched_matmul_gradient_reaches_shared_weight():
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.normal(size=(3, 4, 2)), trainable=True)
+    w = Tensor(rng.normal(size=(2, 4)), trainable=True)
+    wout = Tensor(rng.normal(size=(3, 4, 4)))
+    assert finite_difference_check(lambda t: ((x @ t) * wout).sum(), w) <= 1e-6
+    assert finite_difference_check(lambda t: ((t @ w) * wout).sum(), x) <= 1e-6
 
 
 class TestFiniteDifferenceCheck:
