@@ -1,11 +1,16 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 Every differentiable computation in this package (LSTM steps, Sinkhorn
-iterations, losses) is built from the primitives here.  Ops record a backward
-rule on the active ``GradTape``; ``GradTape.backward`` replays the rules in
-reverse order.  Elementwise ops broadcast by NumPy's rule, and each operand's
-gradient is summed back over the axes it was broadcast along; shapes that do
-not broadcast raise ``ShapeMismatch``.
+iterations, losses) is built from the primitives here.  Ops record on the
+active ``GradTape`` one vector-Jacobian product (VJP) per input, which maps the
+output's gradient to that input's contribution.  ``GradTape.gradient`` replays
+the VJPs in reverse order, pruned to the work its sources need: it runs an
+op's VJP for input ``i`` only when that input is a source or depends on one.
+Pruning keeps the bits, because every consumer of a tensor that depends on a
+source depends on it too, so each such tensor receives the same contributions
+in the same order as in a full replay.  Elementwise ops broadcast by NumPy's
+rule, and each operand's gradient is summed back over the axes it was
+broadcast along; shapes that do not broadcast raise ``ShapeMismatch``.
 """
 
 from __future__ import annotations
@@ -128,48 +133,42 @@ class Tensor:
     def relu(self):
         x = self.data
         return _record("relu", (self,), np.maximum(x, 0.0),
-                       lambda g: ((x > 0.0) * g,))
+                       (lambda g: (x > 0.0) * g,))
 
     def sigmoid(self):
         out = _sigmoid_values(self.data)
         return _record("sigmoid", (self,), out,
-                       lambda g: (out * (1.0 - out) * g,))
+                       (lambda g: out * (1.0 - out) * g,))
 
     def tanh(self):
         out = np.tanh(self.data)
         return _record("tanh", (self,), out,
-                       lambda g: ((1.0 - out * out) * g,))
+                       (lambda g: (1.0 - out * out) * g,))
 
     def exp(self):
         out = np.exp(self.data)
-        return _record("exp", (self,), out, lambda g: (out * g,))
+        return _record("exp", (self,), out, (lambda g: out * g,))
 
     def log(self):
         x = self.data
         if np.any(x <= 0.0):
             raise DomainError("log: input has non-positive entries")
-        return _record("log", (self,), np.log(x), lambda g: (g / x,))
+        return _record("log", (self,), np.log(x), (lambda g: g / x,))
 
     # -- reductions -------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
         shape = self.shape
         out = np.sum(self.data, axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            return (_spread(g, shape, axis, keepdims),)
-
-        return _record("sum", (self,), out, backward)
+        return _record("sum", (self,), out,
+                       (lambda g: _spread(g, shape, axis, keepdims),))
 
     def mean(self, axis=None, keepdims=False):
         shape = self.shape
         count = self.size if axis is None else shape[axis]
         out = np.mean(self.data, axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            return (_spread(g, shape, axis, keepdims) / count,)
-
-        return _record("mean", (self,), out, backward)
+        return _record("mean", (self,), out,
+                       (lambda g: _spread(g, shape, axis, keepdims) / count,))
 
     def max(self, axis=None, keepdims=False):
         """Max over an axis; the gradient flows to the first maximal entry."""
@@ -178,35 +177,36 @@ class Tensor:
             out = np.max(x)
             flat_idx = int(np.argmax(x))
 
-            def backward(g):
+            def vjp(g):
                 grad = np.zeros_like(x)
                 grad.reshape(-1)[flat_idx] = np.asarray(g).reshape(())
-                return (grad,)
+                return grad
 
         else:
             out = np.max(x, axis=axis, keepdims=keepdims)
             idx = np.expand_dims(np.argmax(x, axis=axis), axis)
 
-            def backward(g):
+            def vjp(g):
                 grad = np.zeros_like(x)
                 gg = g if keepdims else np.expand_dims(g, axis)
                 np.put_along_axis(grad, idx, gg, axis=axis)
-                return (grad,)
+                return grad
 
-        return _record("max", (self,), out, backward)
+        return _record("max", (self,), out, (vjp,))
 
     def logsumexp(self, axis, keepdims=False):
+        """Stable log-sum-exp; the softmax its gradient needs is formed only
+        when the tape runs its VJP."""
         x = self.data
         m = np.max(x, axis=axis, keepdims=True)
         lse = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
         out = lse if keepdims else np.squeeze(lse, axis=axis)
-        softmax = np.exp(x - lse)
 
-        def backward(g):
+        def vjp(g):
             gg = g if keepdims else np.expand_dims(g, axis)
-            return (softmax * gg,)
+            return np.exp(x - lse) * gg
 
-        return _record("logsumexp", (self,), out, backward)
+        return _record("logsumexp", (self,), out, (vjp,))
 
     # -- shape manipulation -----------------------------------------------
 
@@ -215,14 +215,14 @@ class Tensor:
         if int(np.prod(shape, dtype=np.int64)) != self.size:
             raise ShapeMismatch("reshape", old, shape)
         return _record("reshape", (self,), self.data.reshape(shape),
-                       lambda g: (g.reshape(old),))
+                       (lambda g: g.reshape(old),))
 
     def transpose(self):
         """Swap the last two axes (plain transpose for matrices)."""
         if self.ndim < 2:
             raise ShapeMismatch("transpose", self.shape)
         return _record("transpose", (self,), np.swapaxes(self.data, -1, -2),
-                       lambda g: (np.swapaxes(g, -1, -2),))
+                       (lambda g: np.swapaxes(g, -1, -2),))
 
     @property
     def T(self):
@@ -236,12 +236,12 @@ class Tensor:
         index = _axis_slice(len(shape), axis, start, stop)
         out = self.data[index].copy()
 
-        def backward(g):
+        def vjp(g):
             grad = np.zeros(shape)
             grad[index] = g
-            return (grad,)
+            return grad
 
-        return _record("slice", (self,), out, backward)
+        return _record("slice", (self,), out, (vjp,))
 
     def permute_rows(self, perm):
         """Reorder rows by a permutation (per batch element for rank 3).
@@ -256,14 +256,14 @@ class Tensor:
                 raise ShapeMismatch("permute_rows", x.shape, perm.shape)
             inv = np.argsort(perm, kind="stable")
             return _record("permute_rows", (self,), x[perm],
-                           lambda g: (g[inv],))
+                           (lambda g: g[inv],))
         if x.ndim == 3:
             if perm.shape != x.shape[:2]:
                 raise ShapeMismatch("permute_rows", x.shape, perm.shape)
             inv = np.argsort(perm, axis=1, kind="stable")
             rows = np.arange(x.shape[0])[:, None]
             return _record("permute_rows", (self,), x[rows, perm],
-                           lambda g: (g[rows, inv],))
+                           (lambda g: g[rows, inv],))
         raise ShapeMismatch("permute_rows", x.shape)
 
     def gather_rows(self, idx):
@@ -273,12 +273,12 @@ class Tensor:
         if x.ndim != 2 or idx.ndim != 1:
             raise ShapeMismatch("gather_rows", x.shape, idx.shape)
 
-        def backward(g):
+        def vjp(g):
             grad = np.zeros_like(x)
             np.add.at(grad, idx, g)
-            return (grad,)
+            return grad
 
-        return _record("gather_rows", (self,), x[idx], backward)
+        return _record("gather_rows", (self,), x[idx], (vjp,))
 
 
 def _axis_slice(rank, axis, start, stop):
@@ -291,11 +291,13 @@ def _axis_slice(rank, axis, start, stop):
 # op plumbing
 
 
-def _record(name, inputs, out_data, backward):
+def _record(name, inputs, out_data, vjps):
+    """Wrap ``out_data`` as the output of op ``name``; ``vjps[i]`` maps the
+    output's gradient to the gradient contribution of ``inputs[i]``."""
     out = Tensor(out_data)
     tape = _active_tape()
     if tape is not None:
-        tape._record(name, inputs, out, backward)
+        tape._record(name, inputs, out, vjps)
     return out
 
 
@@ -308,20 +310,19 @@ def _as_operand(op, other):
     return float(arr)
 
 
-def _binary(op, a, b, fn, grads):
-    """Elementwise ``fn`` on NumPy-broadcast operands; ``grads(g, da, db)``
-    gives the operand gradients at the broadcast shape."""
+def _binary(op, a, b, fn, grad_a, grad_b):
+    """Elementwise ``fn`` on NumPy-broadcast operands; ``grad_a(g, da, db)``
+    and ``grad_b(g, da, db)`` give the operand gradients at the broadcast
+    shape."""
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeMismatch(op, a.shape, b.shape) from None
     da, db = a.data, b.data
-
-    def backward(g):
-        ga, gb = grads(g, da, db)
-        return _unbroadcast(ga, da.shape), _unbroadcast(gb, db.shape)
-
-    return _record(op, (a, b), fn(da, db), backward)
+    return _record(op, (a, b), fn(da, db), (
+        lambda g: _unbroadcast(grad_a(g, da, db), da.shape),
+        lambda g: _unbroadcast(grad_b(g, da, db), db.shape),
+    ))
 
 
 def _unbroadcast(g, shape):
@@ -336,31 +337,35 @@ def _unbroadcast(g, shape):
 def _add(a, b):
     b = _as_operand("add", b)
     if isinstance(b, float):
-        return _record("add", (a,), a.data + b, lambda g: (g,))
-    return _binary("add", a, b, np.add, lambda g, da, db: (g, g))
+        return _record("add", (a,), a.data + b, (lambda g: g,))
+    return _binary("add", a, b, np.add,
+                   lambda g, da, db: g, lambda g, da, db: g)
 
 
 def _sub(a, b):
-    return _binary("sub", a, b, np.subtract, lambda g, da, db: (g, -g))
+    return _binary("sub", a, b, np.subtract,
+                   lambda g, da, db: g, lambda g, da, db: -g)
 
 
 def _scale(a, factor, offset):
     return _record("scale", (a,), a.data * factor + offset,
-                   lambda g: (factor * g,))
+                   (lambda g: factor * g,))
 
 
 def _mul(a, b):
     b = _as_operand("mul", b)
     if isinstance(b, float):
         return _scale(a, b, 0.0)
-    return _binary("mul", a, b, np.multiply, lambda g, da, db: (g * db, g * da))
+    return _binary("mul", a, b, np.multiply,
+                   lambda g, da, db: g * db, lambda g, da, db: g * da)
 
 
 def _div(a, b):
     if np.any(b.data == 0.0):
         raise DomainError("div: divisor has zero entries")
     return _binary("div", a, b, np.divide,
-                   lambda g, da, db: (g / db, -g * da / (db * db)))
+                   lambda g, da, db: g / db,
+                   lambda g, da, db: -g * da / (db * db))
 
 
 def _matmul(a, b):
@@ -378,11 +383,10 @@ def _matmul(a, b):
     if not ok:
         raise ShapeMismatch("matmul", da.shape, db.shape)
 
-    def backward(g):
-        return (g @ np.swapaxes(db, -1, -2),
-                _unbroadcast(np.swapaxes(da, -1, -2) @ g, db.shape))
-
-    return _record("matmul", (a, b), da @ db, backward)
+    return _record("matmul", (a, b), da @ db, (
+        lambda g: g @ np.swapaxes(db, -1, -2),
+        lambda g: _unbroadcast(np.swapaxes(da, -1, -2) @ g, db.shape),
+    ))
 
 
 def concat(tensors, axis):
@@ -397,14 +401,14 @@ def concat(tensors, axis):
             s[i] != base[i] for i in range(len(base)) if i != axis
         ):
             raise ShapeMismatch("concat", base, s)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
+    bounds = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
-    def backward(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, offsets, axis=axis))
+    def piece(lo, hi):
+        return lambda g: np.ascontiguousarray(np.split(g, (lo, hi), axis=axis)[1])
 
     return _record("concat", tensors,
-                   np.concatenate([t.data for t in tensors], axis=axis), backward)
+                   np.concatenate([t.data for t in tensors], axis=axis),
+                   tuple(piece(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])))
 
 
 def _sigmoid_values(x):
@@ -428,17 +432,17 @@ def _spread(g, shape, axis, keepdims):
 
 
 class _TapeOp:
-    __slots__ = ("name", "inputs", "output", "backward")
+    __slots__ = ("name", "inputs", "output", "vjps")
 
-    def __init__(self, name, inputs, output, backward):
+    def __init__(self, name, inputs, output, vjps):
         self.name = name
         self.inputs = inputs
         self.output = output
-        self.backward = backward
+        self.vjps = vjps
 
 
 class GradTape:
-    """Ordered record of primitive ops; replayed in reverse by ``backward``.
+    """Ordered record of primitive ops; replayed in reverse by ``gradient``.
 
     Used as a context manager::
 
@@ -472,12 +476,12 @@ class GradTape:
             if t.trainable:
                 self._leaves.append(t.uid)
 
-    def _record(self, name, inputs, output, backward):
+    def _record(self, name, inputs, output, vjps):
         for t in inputs:
             self._register(t)
         self._tensors[output.uid] = output
         self._ops.append(
-            _TapeOp(name, tuple(t.uid for t in inputs), output.uid, backward)
+            _TapeOp(name, tuple(t.uid for t in inputs), output.uid, vjps)
         )
 
     def backward(self, loss):
@@ -486,43 +490,46 @@ class GradTape:
         Returns a dict mapping leaf uid -> gradient Tensor (zero for leaves
         the loss does not depend on).
         """
-        grads = self._accumulate(loss)
-        out = {}
-        for uid in self._leaves:
-            g = grads.get(uid)
-            if g is None:
-                g = np.zeros_like(self._tensors[uid].data)
-            out[uid] = Tensor(g)
-        return out
+        leaves = [self._tensors[uid] for uid in self._leaves]
+        return {t.uid: g for t, g in zip(leaves, self.gradient(loss, leaves))}
 
     def gradient(self, loss, sources):
-        """Gradients of a scalar loss w.r.t. specific tensors on the tape."""
-        grads = self._accumulate(loss)
-        out = []
+        """Gradients of a scalar loss w.r.t. specific tensors on the tape
+        (zero for sources the loss does not depend on).
+
+        Only the backward work the sources need is done.  A forward sweep
+        marks a tensor live when it is a source or the output of an op with
+        a live input; the reverse sweep then calls an op's VJP for input
+        ``i`` only when that input is live.  The gradients are bit-identical
+        to those of a full replay: every consumer of a live tensor is live,
+        so each live tensor receives the same contributions in the same
+        order, and only contributions to dead tensors are skipped.
+        """
+        if not isinstance(loss, Tensor) or loss.size != 1:
+            raise TapeError("gradient: loss must be a scalar Tensor")
+        if loss.uid not in self._tensors:
+            raise TapeError("gradient: loss was not computed on this tape")
         for s in sources:
             if s.uid not in self._tensors:
                 raise TapeError("gradient: source tensor is not on this tape")
-            g = grads.get(s.uid)
-            out.append(Tensor(g if g is not None else np.zeros_like(s.data)))
-        return out
-
-    def _accumulate(self, loss):
-        if not isinstance(loss, Tensor) or loss.size != 1:
-            raise TapeError("backward: loss must be a scalar Tensor")
-        if loss.uid not in self._tensors:
-            raise TapeError("backward: loss was not computed on this tape")
+        live = {s.uid for s in sources}
+        ops = []
+        for op in self._ops:
+            if not live.isdisjoint(op.inputs):
+                live.add(op.output)
+                ops.append(op)
         grads = {loss.uid: np.ones_like(loss.data)}
-        for op in reversed(self._ops):
+        for op in reversed(ops):
             g = grads.get(op.output)
             if g is None:
                 continue
-            contribs = op.backward(g)
-            for uid, contrib in zip(op.inputs, contribs):
-                if contrib is None:
-                    continue
-                have = grads.get(uid)
-                grads[uid] = contrib if have is None else have + contrib
-        return grads
+            for uid, vjp in zip(op.inputs, op.vjps):
+                if uid in live:
+                    contrib = vjp(g)
+                    have = grads.get(uid)
+                    grads[uid] = contrib if have is None else have + contrib
+        return [Tensor(grads[s.uid] if s.uid in grads else np.zeros_like(s.data))
+                for s in sources]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ exactly.
 from __future__ import annotations
 
 import csv
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -226,10 +227,20 @@ def _optimizer(cfg, group, kind=None):
 
 
 def _save_train_checkpoint(directory, model, counters, optimizers):
+    """Write the checkpoint into a sibling staging directory, then swap it
+    into place, so a save cut short leaves the previous checkpoint whole.
+
+    The swap is two renames: the old checkpoint out of the way, then the
+    staging directory in.  A partial staging directory left by an
+    interrupted save never loads, because its manifest is written last, and
+    the next save removes it.
+    """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    # the optimizer blobs go in before save_checkpoint writes the manifest
-    (directory / "manifest.json").unlink(missing_ok=True)
+    staging = directory.with_name(f".{directory.name}.partial")
+    retired = directory.with_name(f".{directory.name}.old")
+    for leftover in (staging, retired):
+        shutil.rmtree(leftover, ignore_errors=True)
+    staging.mkdir(parents=True)
     opt_meta = {}
     for group, opt in optimizers.items():
         arrays = opt.state_arrays()
@@ -239,9 +250,13 @@ def _save_train_checkpoint(directory, model, counters, optimizers):
             "tensors": sorted(arrays.keys()),
         }
         for key, arr in arrays.items():
-            write_tensor_blob(directory / f"optimizer.{group}.{key}.sptn", arr)
-    save_checkpoint(directory, model,
+            write_tensor_blob(staging / f"optimizer.{group}.{key}.sptn", arr)
+    save_checkpoint(staging, model,
                     extra={"counters": counters, "optimizers": opt_meta})
+    if directory.exists():
+        directory.rename(retired)
+    staging.rename(directory)
+    shutil.rmtree(retired, ignore_errors=True)
 
 
 def load_train_checkpoint(directory, cfg):

@@ -245,6 +245,27 @@ MODEL_FACTORIES = [
 MODEL_FACTORY_IDS = ["span", "span-no-apn", "span-fc", "deepsets", "janossy", "pisgd"]
 
 
+class TestGroupGradients:
+    @pytest.mark.parametrize("factory", MODEL_FACTORIES, ids=MODEL_FACTORY_IDS)
+    def test_group_gradients_match_full_gradient_bytes(self, factory):
+        # the tape prunes backward work to the requested group; the bits
+        # must be those of the gradient over every parameter
+        model = factory()
+        x = np.stack([rng_set(40 + k, n=4, d=2) for k in range(3)])
+        with GradTape() as tape:
+            pred = model.forward(Tensor(x))
+            loss = (pred * pred).sum()
+        params = model.parameters()
+        full = dict(zip(params, tape.gradient(loss, list(params.values()))))
+        assert any(np.any(g.data != 0.0) for g in full.values())
+        groups = [model.learner_parameters(), model.adversary_parameters()]
+        assert sorted(k for group in groups for k in group) == sorted(params)
+        for group in groups:
+            grads = tape.gradient(loss, list(group.values()))
+            for name, g in zip(group, grads):
+                assert g.data.tobytes() == full[name].data.tobytes(), name
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("factory", MODEL_FACTORIES)
     def test_round_trip_bit_exact(self, tmp_path, factory):

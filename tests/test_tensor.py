@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spanlab.tensor as tensor_module
 from spanlab.tensor import (
     BlobFormatError,
     DomainError,
@@ -189,6 +190,51 @@ class TestBackward:
             tape.gradient(loss, [y])
 
 
+class TestPruning:
+    @staticmethod
+    def spy_vjps(monkeypatch):
+        """Record (op name, input index) for every VJP the tape runs."""
+        calls = []
+        real = tensor_module._record
+
+        def spy(name, i, vjp):
+            def run(g):
+                calls.append((name, i))
+                return vjp(g)
+
+            return run
+
+        def recording(name, inputs, out_data, vjps):
+            return real(name, inputs, out_data,
+                        tuple(spy(name, i, v) for i, v in enumerate(vjps)))
+
+        monkeypatch.setattr(tensor_module, "_record", recording)
+        return calls
+
+    def test_op_that_cannot_reach_a_source_runs_no_vjp(self, monkeypatch):
+        calls = self.spy_vjps(monkeypatch)
+        x = Tensor([0.5, -1.0], trainable=True)
+        frozen = Tensor([2.0, 3.0], trainable=True)
+        with GradTape() as tape:
+            loss = (x * frozen.tanh()).sum()
+        (g,) = tape.gradient(loss, [x])
+        np.testing.assert_array_equal(g.data, np.tanh([2.0, 3.0]))
+        assert calls == [("sum", 0), ("mul", 0)]
+
+    def test_matmul_forms_only_the_source_side_product(self, monkeypatch):
+        calls = self.spy_vjps(monkeypatch)
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(3, 4)), trainable=True)
+        w = Tensor(rng.normal(size=(4, 2)), trainable=True)
+        with GradTape() as tape:
+            loss = (x @ w).sum()
+        tape.gradient(loss, [x])
+        assert calls == [("sum", 0), ("matmul", 0)]
+        del calls[:]
+        tape.gradient(loss, [w])
+        assert calls == [("sum", 0), ("matmul", 1)]
+
+
 FD_CASES = [
     ("add", lambda x, y: x + y, 2),
     ("sub", lambda x, y: x - y, 2),
@@ -312,7 +358,7 @@ class TestFiniteDifferenceCheck:
         def doubled_square(t):
             # deliberately wrong backward: reports 4x instead of 2x
             return _record("bad_square", (t,), t.data * t.data,
-                           lambda g: (4.0 * t.data * g,))
+                           (lambda g: 4.0 * t.data * g,))
 
         x = Tensor([1.0, -2.0], trainable=True)
         err = finite_difference_check(lambda t: doubled_square(t).sum(), x)

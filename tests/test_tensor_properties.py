@@ -1,4 +1,4 @@
-"""Property tests for the tape's broadcasting rule."""
+"""Property tests for the tape's broadcasting rule and gradient pruning."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,13 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import array_shapes, mutually_broadcastable_shapes  # noqa: E402
 
-from spanlab.tensor import ShapeMismatch, Tensor, finite_difference_check  # noqa: E402
+from spanlab.tensor import (  # noqa: E402
+    GradTape,
+    ShapeMismatch,
+    Tensor,
+    concat,
+    finite_difference_check,
+)
 
 OPS = {
     "add": lambda x, y: x + y,
@@ -58,3 +64,34 @@ def test_incompatible_shapes_raise(name, shape_a, shape_b):
         OPS[name](Tensor(np.ones(shape_a)), Tensor(np.ones(shape_b)))
     assert info.value.op == name
     assert info.value.shapes == (shape_a, shape_b)
+
+
+def pruning_graph(rng):
+    """Leaves and intermediates of one loss that reuses tensors and takes
+    every op kind the models use; returns (sources, loss)."""
+    x = Tensor(rng.normal(size=(3, 4)), trainable=True)
+    w = Tensor(rng.normal(size=(4, 5)), trainable=True)
+    b = Tensor(rng.normal(size=(5,)), trainable=True)
+    c = Tensor(rng.uniform(0.5, 2.0, size=(2, 5)), trainable=True)
+    h = (x @ w + b).tanh()
+    z = concat([h, c.sigmoid()], axis=0).permute_rows([4, 0, 3, 1, 2])
+    s = z.logsumexp(axis=1) - z.max(axis=1)
+    u = (h / c.sum(axis=0)).relu().exp().slice(1, 0, 3).gather_rows([2, 0, 2])
+    v = (x.T @ h).reshape((20,)).mean(axis=0, keepdims=True)
+    loss = (s * s).sum() + u.log().mean() - v.sum() * x.sum()
+    return [x, w, b, c, h, z], loss
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    subset=st.lists(st.integers(0, 5), min_size=1, max_size=6),
+)
+def test_pruned_gradients_match_the_full_set_bit_for_bit(seed, subset):
+    rng = np.random.default_rng(seed)
+    with GradTape() as tape:
+        sources, loss = pruning_graph(rng)
+    full = tape.gradient(loss, sources)
+    pruned = tape.gradient(loss, [sources[i] for i in subset])
+    for i, g in zip(subset, pruned):
+        assert g.data.tobytes() == full[i].data.tobytes()

@@ -161,8 +161,14 @@ class TestDeterminismAndResume:
         per_save = 3 * len(model.parameters())
         calls = []
 
+        first_save = {}
+
         def failing_write(path, arr):
             calls.append(path)
+            if len(calls) == per_save + 1:  # the second save begins
+                first_save.update(
+                    (f.name, f.read_bytes())
+                    for f in (tmp_path / "checkpoint").iterdir())
             if len(calls) == per_save + 5:  # partway through the second save
                 raise OSError("disk full")
             write_tensor_blob(path, arr)
@@ -174,8 +180,23 @@ class TestDeterminismAndResume:
         with pytest.raises(OSError, match="disk full"):
             train_span(model, percentile_instances(16, seed=8), cfg,
                        out_dir=tmp_path)
+        (torn,) = [p for p in tmp_path.iterdir()
+                   if p.is_dir() and p.name != "checkpoint"]
         with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "checkpoint")
+            load_checkpoint(torn)
+        # the first save is still in place, whole, and loads
+        assert "manifest.json" in first_save
+        kept = tmp_path / "checkpoint"
+        assert {f.name: f.read_bytes() for f in kept.iterdir()} == first_save
+        load_checkpoint(kept)
+
+    def test_periodic_saves_leave_no_staging_directory(self, tmp_path):
+        cfg = TrainConfig(batch_size=4, outer_iters=3, learner_lr=1e-3,
+                          adversary_lr=1e-3, checkpoint_every=1, seed=9)
+        train_span(tiny_span_model(seed=9), percentile_instances(16, seed=9),
+                   cfg, out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["checkpoint", "history.csv"]
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         data = percentile_instances(16, seed=6)
