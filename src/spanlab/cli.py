@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
+import inspect
 import itertools
 import json
 import os
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spanlab import __version__
+from spanlab import __version__, tasks
 from spanlab.metrics import (
     MetricRow,
     ablation_fractions,
@@ -42,18 +42,11 @@ from spanlab.models import (
 )
 from spanlab.nn import seed_chain
 from spanlab.tasks import (
+    TASK_KINDS,
     TaskError,
-    gen_biased_maxdigit,
-    gen_flow_dataset,
-    gen_flowgraph,
-    gen_kary_distance,
-    gen_percentile,
-    gen_spiked,
     load_dataset,
-    load_mnist_idx,
     oracle_verify,
     save_dataset,
-    synthetic_digits,
 )
 from spanlab.tensor import BlobFormatError, Tensor, finite_difference_check
 from spanlab.train import (
@@ -75,24 +68,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config schema
 
-# Each block's keys as (required, optional).  Every task also requires a
-# kind and a count and may take a seed.
-_TASK_KEYS = {
-    "kary": ({"n", "d", "k"}, set()),
-    "percentile": ({"n", "r"}, {"value_range"}),
-    "maxflow": ({"vertices", "edges"}, {"cap_range", "subset_size", "graph_seed"}),
-    "spiked": ({"n", "d", "sigma"}, set()),
-    "maxdigit": ({"set_size"}, {"biased", "source", "per_class", "digit_dim",
-                                "noise", "corpus_seed", "images_path",
-                                "labels_path", "test_count"}),
-}
-
-_BLOCK_KEYS = {
-    "train": (set(), {f.name for f in dataclasses.fields(TrainConfig)}),
-    "split": (set(), {"train", "val", "test"}),
-    "gradcheck": ({"n", "d"}, {"L", "h", "loss", "seed", "batch"}),
-}
-
 _TOP_KEYS = {"task", "model", "train", "split", "sweep", "out_dir", "gradcheck"}
 
 # model constructor arguments set by the data, not by the model block
@@ -109,6 +84,36 @@ def load_config(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
+def _task_generator(kind):
+    # looked up as a module attribute, so a wrapper bound there sees the call
+    if kind not in TASK_KINDS:
+        raise ConfigError(f"unknown task kind {kind!r}")
+    return getattr(tasks, TASK_KINDS[kind])
+
+
+def _block_keys(name, block):
+    """(required, optional) keys of the config block ``name``: the arguments
+    of the function that consumes it, without and with a default."""
+    required, optional, exclude = set(), set(), ()
+    if name == "task":
+        consumer, required = _task_generator(block.get("kind")), {"kind"}
+        if block["kind"] == "maxdigit":
+            optional = {"test_count"}  # read by _unbiased_test_split
+    elif name == "model":
+        if block.get("kind") not in MODEL_KINDS:
+            raise ConfigError(f"unknown model kind {block.get('kind')!r}")
+        consumer, required = MODEL_KINDS[block["kind"]].__init__, {"kind"}
+        exclude = ("self", *_DATA_DIMS)
+    else:
+        consumer = {"train": TrainConfig, "split": split_fractions,
+                    "gradcheck": gradcheck}[name]
+        exclude = ("model",)  # gradcheck's model is the config's model block
+    for param in inspect.signature(consumer).parameters.values():
+        if param.name not in exclude:
+            (required if param.default is param.empty else optional).add(param.name)
+    return required, optional
+
+
 def _check_keys(block, keys, where):
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -123,25 +128,11 @@ def _check_keys(block, keys, where):
 
 def validate_config(cfg, require=("task",)):
     _check_keys(cfg, (set(require), _TOP_KEYS), "config")
-    if "task" in cfg:
-        task = cfg["task"]
-        kind = task.get("kind")
-        if kind not in _TASK_KEYS:
-            raise ConfigError(f"unknown task kind {kind!r}")
-        required, optional = _TASK_KEYS[kind]
-        if task.get("source") == "mnist":
-            required = required | {"images_path", "labels_path"}
-        _check_keys(task, (required | {"kind", "count"}, optional | {"seed"}),
-                    f"task ({kind})")
-    if "model" in cfg:
-        kind = cfg["model"].get("kind")
-        if kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {kind!r}")
-        args = set(constructor_args(MODEL_KINDS[kind])) - set(_DATA_DIMS)
-        _check_keys(cfg["model"], ({"kind"}, args), f"model ({kind})")
-    for block, keys in _BLOCK_KEYS.items():
-        if block in cfg:
-            _check_keys(cfg[block], keys, block)
+    for name in ("task", "model", "train", "split", "gradcheck"):
+        if name in cfg:
+            keys = _block_keys(name, cfg[name])
+            kind = f" ({cfg[name]['kind']})" if "kind" in keys[0] else ""
+            _check_keys(cfg[name], keys, name + kind)
     return cfg
 
 
@@ -149,59 +140,26 @@ def validate_config(cfg, require=("task",)):
 # experiment assembly
 
 
-def dataset_from_task(task, count=None, seed=None, biased=None):
-    kind = task["kind"]
-    count = task["count"] if count is None else count
-    seed = task.get("seed", 0) if seed is None else seed
-    if kind == "kary":
-        return gen_kary_distance(task["n"], task["d"], task["k"], count, seed)
-    if kind == "percentile":
-        rng_range = task.get("value_range")
-        return gen_percentile(task["n"], task["r"], count, seed,
-                              value_range=rng_range)
-    if kind == "maxflow":
-        graph = gen_flowgraph(
-            task["vertices"], task["edges"],
-            cap_range=tuple(task.get("cap_range", (1, 20))),
-            seed=task.get("graph_seed", 0),
-        )
-        return gen_flow_dataset(graph, task.get("subset_size", 3), count, seed)
-    if kind == "spiked":
-        return gen_spiked(task["n"], task["d"], task["sigma"], count, seed)
-    if kind == "maxdigit":
-        if task.get("source", "synthetic") == "mnist":
-            images, labels = load_mnist_idx(task["images_path"],
-                                            task["labels_path"])
-        else:
-            images, labels = synthetic_digits(
-                per_class=task.get("per_class", 200),
-                dim=task.get("digit_dim", 16),
-                noise=task.get("noise", 0.1),
-                seed=task.get("corpus_seed", 0),
-            )
-        use_bias = task.get("biased", False) if biased is None else biased
-        return gen_biased_maxdigit(images, labels, task["set_size"], count,
-                                   seed, biased=use_bias)
-    raise ConfigError(f"unknown task kind {kind!r}")
+def dataset_from_task(task, **overrides):
+    """The dataset of a task block; ``overrides`` replace its generator
+    arguments."""
+    args = {k: v for k, v in task.items() if k not in ("kind", "test_count")}
+    return _task_generator(task["kind"])(**{**args, **overrides})
 
 
-def split_fractions(cfg):
-    split = cfg.get("split", {})
-    train = split.get("train", 0.8)
-    val = split.get("val", 0.1)
-    test = split.get("test", 0.1)
+def split_fractions(train=0.8, val=0.1, test=0.1):
     if min(train, val, test) < 0 or abs(train + val + test - 1.0) > 1e-9:
         raise ConfigError("split fractions must be nonnegative and sum to 1")
     return train, val, test
 
 
-def _unbiased_test_split(task):
+def _unbiased_test_split(task, dataset):
     """The unbiased test set of a biased digit task, or None."""
-    if task["kind"] != "maxdigit" or not task.get("biased", False):
+    if not dataset.header.get("biased"):
         return None
     return dataset_from_task(
-        task, count=task.get("test_count", max(1, task["count"] // 4)),
-        seed=seed_chain(task.get("seed", 0), 1), biased=False,
+        task, count=task.get("test_count", max(1, len(dataset) // 4)),
+        seed=seed_chain(dataset.header["seed"], 1), biased=False,
     )
 
 
@@ -213,16 +171,16 @@ def prepare_splits(cfg):
     """
     task = cfg["task"]
     dataset = dataset_from_task(task)
-    f_train, f_val, _ = split_fractions(cfg)
+    f_train, f_val, _ = split_fractions(**cfg.get("split", {}))
     count = len(dataset)
     n_train = int(count * f_train)
     n_val = int(count * f_val)
-    test_ds = _unbiased_test_split(task)
+    test_ds = _unbiased_test_split(task, dataset)
     if test_ds is not None:
         return (dataset, dataset.instances[:n_train],
                 dataset.instances[n_train: n_train + n_val], test_ds.instances)
     order = np.random.default_rng(
-        seed_chain(task.get("seed", 0), 8801)
+        seed_chain(dataset.header["seed"], 8801)
     ).permutation(count)
     pick = lambda idx: [dataset.instances[i] for i in idx]
     return (
@@ -236,9 +194,7 @@ def prepare_splits(cfg):
 def model_from_config(model_cfg, n, d, label_dim):
     """The configured model, given the data's dimensions where its
     constructor takes them."""
-    cls = MODEL_KINDS.get(model_cfg["kind"])
-    if cls is None:
-        raise ConfigError(f"unknown model kind {model_cfg['kind']!r}")
+    cls = MODEL_KINDS[model_cfg["kind"]]
     dims = dict(zip(_DATA_DIMS, (n, d, label_dim)))
     args = {k: v for k, v in dims.items() if k in constructor_args(cls)}
     args.update((k, v) for k, v in model_cfg.items() if k != "kind")
@@ -278,7 +234,7 @@ class _AveragedPredictor:
     predict = predict_batch  # predict_average takes one set or a stack
 
 
-def evaluate_model(model, dataset, instances, model_kind, eval_seed=0):
+def evaluate_model(model, dataset, instances, model_kind, eval_seed):
     """Metric rows for a frozen model on held-out instances."""
     if not instances:
         raise ConfigError("eval: empty test split")
@@ -323,6 +279,17 @@ def evaluate_model(model, dataset, instances, model_kind, eval_seed=0):
     return rows
 
 
+def _evaluate_checkpoint(cfg, checkpoint, out_dir):
+    """Metric rows for a checkpoint on the test split of ``cfg``, also
+    written to ``out_dir``.  The evaluation seed is the training seed."""
+    model, _extra = load_checkpoint(checkpoint)
+    dataset, _train, _val, test_insts = prepare_splits(cfg)
+    rows = evaluate_model(model, dataset, test_insts, cfg["model"]["kind"],
+                          train_config_from(cfg).seed)
+    aggregate_report(rows, out_dir)
+    return rows
+
+
 def run_training(cfg, out_dir):
     """Train the configured model; returns it, its history and the
     validation split."""
@@ -344,7 +311,7 @@ def cmd_gen(cfg, out_dir, args):
     dataset = dataset_from_task(cfg["task"])
     save_dataset(out_dir / "dataset.jsonl", dataset)
     written = ["dataset.jsonl"]
-    test_ds = _unbiased_test_split(cfg["task"])
+    test_ds = _unbiased_test_split(cfg["task"], dataset)
     if test_ds is not None:
         save_dataset(out_dir / "dataset_test.jsonl", test_ds)
         written.append("dataset_test.jsonl")
@@ -367,11 +334,7 @@ def cmd_eval(cfg, out_dir, args):
     validate_config(cfg, require=("task", "model"))
     if args.checkpoint is None:
         raise ConfigError("eval needs --checkpoint")
-    model, _extra = load_checkpoint(args.checkpoint)
-    dataset, _train, _val, test_insts = prepare_splits(cfg)
-    rows = evaluate_model(model, dataset, test_insts, cfg["model"]["kind"],
-                          eval_seed=cfg.get("train", {}).get("seed", 0))
-    aggregate_report(rows, out_dir)
+    rows = _evaluate_checkpoint(cfg, args.checkpoint, out_dir)
     write_manifest(out_dir, "eval", cfg)
     for row in rows:
         print(f"eval: {row.metric} = {row.value:.6g}")
@@ -391,25 +354,25 @@ def cmd_oracle_verify(cfg_path, out_dir, args):
     return 0
 
 
+def gradcheck(model, n, d, L=1, h=1e-5, loss="mse", seed=0, batch=1):
+    """Worst relative error between central differences with step ``h`` and
+    the tape gradient, over every parameter of the model block ``model``
+    built for (n, d, L) data, through its ``loss`` on one random batch."""
+    net = model_from_config(model, n, d, L)
+    rng = np.random.default_rng(seed_chain(seed, 31))
+    x = Tensor(rng.normal(size=(batch, n, d)))
+    y = Tensor(rng.normal(size=(batch, L)))
+
+    def objective(_param):
+        return batch_loss(loss, net.forward(x), y)
+
+    return max([0.0] + [finite_difference_check(objective, param, h=h)
+                        for _name, param in sorted(net.parameters().items())])
+
+
 def cmd_gradcheck(cfg, out_dir, args):
     validate_config(cfg, require=("model", "gradcheck"))
-    gc = cfg["gradcheck"]
-    n, d, label_dim = gc["n"], gc["d"], gc.get("L", 1)
-    model = model_from_config(cfg["model"], n, d, label_dim)
-    rng = np.random.default_rng(seed_chain(gc.get("seed", 0), 31))
-    batch = gc.get("batch", 1)
-    x = Tensor(rng.normal(size=(batch, n, d)))
-    y = Tensor(rng.normal(size=(batch, label_dim)))
-    loss_kind = gc.get("loss", "mse")
-
-    def objective(_):
-        return batch_loss(loss_kind, model.forward(x), y)
-
-    worst = 0.0
-    for name, param in sorted(model.parameters().items()):
-        err = finite_difference_check(lambda t, p=param: objective(t), param,
-                                      h=gc.get("h", 1e-5))
-        worst = max(worst, err)
+    worst = gradcheck(cfg["model"], **cfg["gradcheck"])
     print(f"gradcheck: max relative error {worst:.3e}")
     return 0 if worst <= 1e-4 else 1
 
@@ -499,13 +462,8 @@ def cmd_sweep(cfg, out_dir, args):
     )
 
     # test metrics for the winner
-    winner_cfg = _trial_config(cfg, best["assignment"])
-    model, _extra = load_checkpoint(Path(best["out_dir"]) / "checkpoint")
-    dataset, _t, _v, test_insts = prepare_splits(winner_cfg)
-    rows = evaluate_model(model, dataset, test_insts,
-                          winner_cfg["model"]["kind"],
-                          eval_seed=winner_cfg.get("train", {}).get("seed", 0))
-    aggregate_report(rows, out_dir)
+    _evaluate_checkpoint(_trial_config(cfg, best["assignment"]),
+                         Path(best["out_dir"]) / "checkpoint", out_dir)
     write_manifest(out_dir, "sweep", cfg)
     print(f"sweep: {len(results)} trials, best val loss {best['val_loss']:.6g} "
           f"at {best['assignment']}")

@@ -8,7 +8,8 @@ adversarial-permutation ablation, backed by MNIST IDX files or by a
 deterministic synthetic digit encoding.
 
 Every generator is a pure function of its config and seed, and every stored
-label can be re-derived by the matching oracle.
+label can be re-derived by the matching oracle.  The signature of the
+generator ``TASK_KINDS`` names for a kind is the schema of its config block.
 """
 
 from __future__ import annotations
@@ -25,12 +26,15 @@ __all__ = [
     "Dataset",
     "FlowGraph",
     "SetInstance",
+    "TASK_KINDS",
     "TaskError",
     "edmonds_karp_maxflow",
     "gen_biased_maxdigit",
     "gen_flow_dataset",
     "gen_flowgraph",
     "gen_kary_distance",
+    "gen_maxdigit",
+    "gen_maxflow",
     "gen_percentile",
     "gen_spiked",
     "load_dataset",
@@ -72,18 +76,6 @@ class Dataset:
 
     def __len__(self):
         return len(self.instances)
-
-    @property
-    def n(self):
-        return self.header["n"]
-
-    @property
-    def d(self):
-        return self.header["d"]
-
-    @property
-    def label_dim(self):
-        return self.header["L"]
 
 
 def save_dataset(path, dataset):
@@ -156,7 +148,7 @@ def oracle_kary(x, k):
     return float(sums.max())
 
 
-def gen_kary_distance(n, d, k, count, seed):
+def gen_kary_distance(n, d, k, count, seed=0):
     """Sets drawn from a k-center Gaussian mixture on [1,n]^d (covariance
     10*I), labeled by the exact k-ary distance oracle."""
     if k not in (2, 3):
@@ -189,7 +181,7 @@ def oracle_percentile(x, r):
     return float(np.sort(flat)[rank - 1])
 
 
-def gen_percentile(n, r, count, seed, value_range=None):
+def gen_percentile(n, r, count, seed=0, value_range=None):
     """Sets of n integers uniform on [1, n] (range overridable)."""
     lo, hi = value_range if value_range is not None else (1, n)
     if n < 1 or lo > hi:
@@ -412,6 +404,14 @@ def gen_flow_dataset(graph, subset_size, count, seed):
     return Dataset(header, instances)
 
 
+def gen_maxflow(vertices, edges, count, seed=0, cap_range=(1, 20), subset_size=3,
+                graph_seed=0):
+    """Max-flow sets of ``subset_size`` sources on one random digraph with
+    ``vertices`` vertices and ``edges`` edges, drawn from ``graph_seed``."""
+    graph = gen_flowgraph(vertices, edges, cap_range=cap_range, seed=graph_seed)
+    return gen_flow_dataset(graph, subset_size, count, seed)
+
+
 # ---------------------------------------------------------------------------
 # spiked covariance / top eigenvector
 
@@ -450,7 +450,7 @@ def oracle_top_eigvec(x):
     return power_iteration(x.T @ x)
 
 
-def gen_spiked(n, d, sigma, count, seed):
+def gen_spiked(n, d, sigma, count, seed=0):
     """Rows sampled as z*v + sigma*noise for a planted unit spike v; the
     label is v itself (sign-canonicalized)."""
     if n <= 1 or d < 2 or sigma < 0:
@@ -564,6 +564,27 @@ def gen_biased_maxdigit(images, labels, set_size, count, seed, biased):
         "biased": bool(biased), "seed": seed,
     }
     return Dataset(header, instances)
+
+
+def gen_maxdigit(set_size, count, seed=0, biased=False, source="synthetic",
+                 per_class=200, digit_dim=16, noise=0.1, corpus_seed=0,
+                 images_path=None, labels_path=None):
+    """Max-digit sets over ``synthetic_digits`` or MNIST IDX files."""
+    if source == "synthetic":
+        corpus = synthetic_digits(per_class, digit_dim, noise, corpus_seed)
+    elif source == "mnist" and images_path and labels_path:
+        corpus = load_mnist_idx(images_path, labels_path)
+    else:
+        raise TaskError(f"gen_maxdigit: source must be 'synthetic', or 'mnist' "
+                        f"with images_path and labels_path; got {source!r}")
+    return gen_biased_maxdigit(*corpus, set_size, count, seed, biased)
+
+
+# task kind -> name of its generator; callers look the name up at call time,
+# so a wrapper rebound to the module attribute (bench/layertrace.py) sees it
+TASK_KINDS = {"kary": "gen_kary_distance", "percentile": "gen_percentile",
+              "maxflow": "gen_maxflow", "spiked": "gen_spiked",
+              "maxdigit": "gen_maxdigit"}
 
 
 # ---------------------------------------------------------------------------

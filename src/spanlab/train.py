@@ -7,7 +7,7 @@ gradients flowing through the unrolled Sinkhorn normalization.  Baselines
 train by plain minimization.  Runs are bit-reproducible: every stochastic
 stream (batch order, dropout masks, sampled permutations) is derived from
 the config seed and step counters, so a checkpoint plus counters resumes
-exactly.
+exactly, and the history.csv beside it supplies the rows trained so far.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spanlab.models import load_checkpoint, save_checkpoint
+from spanlab.models import CheckpointError, load_checkpoint, save_checkpoint
 from spanlab.nn import OptimizerState, clip_global_norm, optimizer_step, seed_chain
 from spanlab.tensor import GradTape, Tensor, read_tensor_blob, write_tensor_blob
 
@@ -276,6 +276,19 @@ def load_train_checkpoint(directory, cfg):
     return model, counters, optimizers
 
 
+def _resumed_history(directory, steps):
+    """The rows of the ``steps`` steps a training checkpoint was saved after,
+    from the history.csv beside it."""
+    path = Path(directory).parent / "history.csv"
+    try:
+        rows = load_history(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise CheckpointError(f"{path}: cannot resume: {exc}") from exc
+    if len(rows) < steps:
+        raise CheckpointError(f"{path}: {len(rows)} rows for {steps} steps")
+    return rows[:steps]
+
+
 # ---------------------------------------------------------------------------
 # training loops
 
@@ -291,10 +304,12 @@ def _train(model, instances, cfg, out_dir, resume_from, phases):
 
     start_iter = 0
     global_batch = 0
+    history = []
     if resume_from is not None:
         model, counters, optimizers = load_train_checkpoint(resume_from, cfg)
         start_iter = counters["outer_iter"]
         global_batch = counters["global_batch"]
+        history = _resumed_history(resume_from, global_batch)
     else:
         optimizers = {group: _optimizer(cfg, group) for group, *_ in phases}
     params = {}
@@ -302,14 +317,17 @@ def _train(model, instances, cfg, out_dir, resume_from, phases):
         params[group] = getattr(model, method)()
         if not params[group]:
             raise ValueError(f"model has no {group} parameters")
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
 
     def checkpoint(outer_iter):
+        # the history first, so that a checkpoint is never ahead of it
+        save_history(Path(out_dir) / "history.csv", history)
         _save_train_checkpoint(
             Path(out_dir) / "checkpoint", model,
             {"outer_iter": outer_iter, "global_batch": global_batch}, optimizers,
         )
 
-    history = []
     try:
         for outer in range(start_iter, cfg.outer_iters):
             for group, _method, sign, steps in phases:
@@ -329,7 +347,6 @@ def _train(model, instances, cfg, out_dir, resume_from, phases):
     finally:
         # also keeps the rows that led up to a divergence
         if out_dir is not None:
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
             save_history(Path(out_dir) / "history.csv", history)
     return history
 

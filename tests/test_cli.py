@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 
@@ -14,7 +15,9 @@ from spanlab.cli import (
     sweep_workers,
     validate_config,
 )
-from spanlab.tasks import load_dataset
+from spanlab import tasks
+from spanlab.models import MODEL_KINDS
+from spanlab.tasks import TASK_KINDS, load_dataset
 from spanlab.train import load_history
 
 
@@ -32,6 +35,41 @@ MODEL_BLOCKS = {
     "janossy": {"k": 2, "width": 8, "dropout_rate": 0.1},
     "pisgd": {"hidden": 6, "permutations": 5, "input_scale": 0.1},
 }
+
+
+# a small task block of every kind
+TASK_BLOCKS = {
+    "kary": {"kind": "kary", "n": 5, "d": 2, "k": 2, "count": 4, "seed": 1},
+    "percentile": {"kind": "percentile", "n": 6, "r": 70, "count": 4, "seed": 1},
+    "maxflow": {"kind": "maxflow", "vertices": 10, "edges": 25, "subset_size": 3,
+                "count": 4, "seed": 1},
+    "spiked": {"kind": "spiked", "n": 12, "d": 4, "sigma": 0.1, "count": 4,
+               "seed": 1},
+    "maxdigit": {"kind": "maxdigit", "set_size": 3, "count": 4, "seed": 1,
+                 "per_class": 5, "biased": False},
+}
+
+
+def signature_params(fn, exclude=()):
+    return [p for p in inspect.signature(fn).parameters.values()
+            if p.name not in exclude]
+
+
+def task_generator(kind):
+    return getattr(tasks, TASK_KINDS[kind])
+
+
+# (block, kind, key) for every required key of every task and model kind
+REQUIRED_KEYS = [
+    ("task", kind, p.name)
+    for kind in sorted(TASK_KINDS)
+    for p in signature_params(task_generator(kind)) if p.default is p.empty
+] + [
+    ("model", kind, p.name)
+    for kind in sorted(MODEL_KINDS)
+    for p in signature_params(MODEL_KINDS[kind].__init__, ("self", "n", "d", "L"))
+    if p.default is p.empty
+]
 
 
 def percentile_config(tmp_path, **train_overrides):
@@ -283,6 +321,33 @@ class TestUserErrorsExit2:
         code, err = self.run_main(["gen", "--config", cfg_path], capsys)
         assert code == 2 and "missing keys: n" in err
 
+    @pytest.mark.parametrize("block,kind,key", REQUIRED_KEYS,
+                             ids=["-".join(case) for case in REQUIRED_KEYS])
+    def test_missing_required_key(self, tmp_path, capsys, block, kind, key):
+        if block == "task":
+            cfg, command = {"task": dict(TASK_BLOCKS[kind])}, "gen"
+        else:
+            cfg, command = percentile_config(tmp_path), "train"
+            cfg["model"] = dict(MODEL_BLOCKS[kind], kind=kind, seed=1)
+        del cfg[block][key]
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        code, err = self.run_main([command, "--config", cfg_path,
+                                   "--out", str(tmp_path / "out")], capsys)
+        assert code == 2 and err.endswith(f"missing keys: {key}")
+
+    @pytest.mark.parametrize("source", [
+        {"source": "mnsit"},
+        {"source": "mnist"},
+        {"source": "mnist", "images_path": "images.idx"},
+    ])
+    def test_bad_maxdigit_source(self, tmp_path, capsys, source):
+        cfg = percentile_config(tmp_path)
+        cfg["task"] = dict(TASK_BLOCKS["maxdigit"], count=40, **source)
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        assert code == 2 and "source" in err
+        assert not (tmp_path / "run" / "checkpoint").exists()
+
     def test_diverged_run(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "cfg.json",
                                 percentile_config(tmp_path, divergence_limit=1e-9))
@@ -371,15 +436,10 @@ class TestSweepWorkers:
 
 
 class TestDatasetFromTask:
-    @pytest.mark.parametrize("task", [
-        {"kind": "kary", "n": 5, "d": 2, "k": 2, "count": 4, "seed": 1},
-        {"kind": "percentile", "n": 6, "r": 70, "count": 4, "seed": 1},
-        {"kind": "maxflow", "vertices": 10, "edges": 25, "subset_size": 3,
-         "count": 4, "seed": 1},
-        {"kind": "spiked", "n": 12, "d": 4, "sigma": 0.1, "count": 4, "seed": 1},
-        {"kind": "maxdigit", "set_size": 3, "count": 4, "seed": 1,
-         "per_class": 5, "biased": False},
-    ])
+    def test_every_kind_has_a_block(self):
+        assert set(TASK_BLOCKS) == set(TASK_KINDS)
+
+    @pytest.mark.parametrize("task", list(TASK_BLOCKS.values()))
     def test_all_kinds_generate_and_verify(self, task, tmp_path):
         from spanlab.tasks import oracle_verify, save_dataset
 
@@ -388,3 +448,20 @@ class TestDatasetFromTask:
         assert oracle_verify(ds) == []
         save_dataset(tmp_path / "d.jsonl", ds)
         assert oracle_verify(load_dataset(tmp_path / "d.jsonl")) == []
+
+    @pytest.mark.parametrize("kind", sorted(TASK_BLOCKS))
+    def test_signature_defaults_written_out_change_nothing(self, kind, tmp_path):
+        block = dict(TASK_BLOCKS[kind])
+        if kind == "maxdigit":
+            block["biased"] = True  # so that it also writes its test split
+        spelled = {p.name: p.default for p in
+                   signature_params(task_generator(kind)) if p.default is not p.empty}
+        written = {}
+        for name, task in (("short", block), ("spelled", {**spelled, **block})):
+            cfg_path = write_config(tmp_path / f"{name}.json", {"task": task})
+            assert main(["gen", "--config", cfg_path,
+                         "--out", str(tmp_path / name)]) == 0
+            written[name] = {f.name: f.read_bytes()
+                             for f in (tmp_path / name).glob("dataset*.jsonl")}
+        assert len(written["short"]) == (2 if kind == "maxdigit" else 1)
+        assert written["spelled"] == written["short"]

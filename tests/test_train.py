@@ -225,6 +225,80 @@ class TestDeterminismAndResume:
         for fa, fb in zip(full, resumed):
             assert fa.read_bytes() == fb.read_bytes(), fa.name
 
+    def test_resumed_history_matches_uninterrupted(self, tmp_path):
+        data = percentile_instances(16, seed=12)
+
+        def run(iters, out, resume_from=None):
+            cfg = TrainConfig(batch_size=4, outer_iters=iters, learner_steps=2,
+                              adversary_steps=1, learner_lr=1e-3,
+                              adversary_lr=1e-3, seed=12)
+            model = None if resume_from else tiny_span_model(seed=12)
+            return train_span(model, data, cfg, out_dir=tmp_path / out,
+                              resume_from=resume_from)
+
+        full = run(4, "full")
+        run(2, "half")
+        resumed = run(4, "resumed", resume_from=tmp_path / "half" / "checkpoint")
+        assert len(full) == 12 and resumed == full
+        assert (tmp_path / "resumed" / "history.csv").read_bytes() == \
+            (tmp_path / "full" / "history.csv").read_bytes()
+
+    def test_resume_in_place_from_a_periodic_checkpoint(self, tmp_path,
+                                                        monkeypatch):
+        # a run stopped right after its first periodic save, with no chance
+        # to write its history at exit, still resumes to the full history
+        import spanlab.train
+
+        data = percentile_instances(16, seed=13)
+        cfg = TrainConfig(batch_size=4, outer_iters=4, learner_lr=1e-3,
+                          adversary_lr=1e-3, checkpoint_every=2, seed=13)
+        train_span(tiny_span_model(seed=13), data, cfg, out_dir=tmp_path / "full")
+
+        class Killed(BaseException):
+            pass
+
+        killed = []
+
+        def kill_after_first_save(*args, **kwargs):
+            save_train_checkpoint(*args, **kwargs)
+            killed.append(True)
+            raise Killed
+
+        save_train_checkpoint = spanlab.train._save_train_checkpoint
+        monkeypatch.setattr(spanlab.train, "_save_train_checkpoint",
+                            kill_after_first_save)
+        monkeypatch.setattr(spanlab.train, "save_history",
+                            lambda *a: None if killed else save_history(*a))
+        with pytest.raises(Killed):
+            train_span(tiny_span_model(seed=13), data, cfg,
+                       out_dir=tmp_path / "run")
+        monkeypatch.undo()
+        assert len(load_history(tmp_path / "run" / "history.csv")) == 4
+
+        train_span(None, data, cfg, out_dir=tmp_path / "run",
+                   resume_from=tmp_path / "run" / "checkpoint")
+        assert (tmp_path / "run" / "history.csv").read_bytes() == \
+            (tmp_path / "full" / "history.csv").read_bytes()
+
+    @pytest.mark.parametrize("damage", ["missing", "short"])
+    def test_resume_without_its_history_raises(self, tmp_path, damage):
+        from spanlab.models import CheckpointError
+
+        data = percentile_instances(16, seed=14)
+        cfg = TrainConfig(batch_size=4, outer_iters=2, learner_lr=1e-3,
+                          adversary_lr=1e-3, seed=14)
+        rows = train_span(tiny_span_model(seed=14), data, cfg,
+                          out_dir=tmp_path / "half")
+        history = tmp_path / "half" / "history.csv"
+        if damage == "missing":
+            history.unlink()
+        else:
+            save_history(history, rows[:-1])
+        with pytest.raises(CheckpointError, match="history.csv"):
+            train_span(None, data, TrainConfig(**{**vars(cfg), "outer_iters": 4}),
+                       out_dir=tmp_path / "rest",
+                       resume_from=tmp_path / "half" / "checkpoint")
+
     def test_standard_resume_matches(self, tmp_path):
         data = sum_task_instances(32, seed=7)
 
