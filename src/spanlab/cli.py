@@ -198,11 +198,28 @@ def model_from_config(model_cfg, n, d, label_dim):
     dims = dict(zip(_DATA_DIMS, (n, d, label_dim)))
     args = {k: v for k, v in dims.items() if k in constructor_args(cls)}
     args.update((k, v) for k, v in model_cfg.items() if k != "kind")
-    return cls(**args)
+    return _configured("model", cls, **args)
 
 
-def train_config_from(cfg):
-    return TrainConfig(**cfg.get("train", {}))
+def train_config_from(cfg, example_count=None):
+    """The validated ``TrainConfig`` of the train block; ``example_count``
+    is the size of the training split, when known."""
+    train = TrainConfig(**cfg.get("train", {}))
+    _configured("train", train.validate, example_count=example_count)
+    return train
+
+
+def _configured(block, consumer, /, **kwargs):
+    """``consumer(**kwargs)``, where a plain ``ValueError`` (the consumer
+    rejecting a value of config block ``block``) becomes a ``ConfigError``.
+    Its subclasses, such as ``ShapeMismatch`` and ``DomainError``, pass
+    through: they report faults of shape or arithmetic, not of a value."""
+    try:
+        return consumer(**kwargs)
+    except ValueError as exc:
+        if type(exc) is not ValueError:
+            raise
+        raise ConfigError(f"{block}: {exc}") from exc
 
 
 def write_manifest(out_dir, command, cfg):
@@ -297,7 +314,8 @@ def run_training(cfg, out_dir):
     model = model_from_config(cfg["model"], dataset.header["n"],
                               dataset.header["d"], dataset.header["L"])
     train = train_span if model.adversary_parameters() else train_standard
-    history = train(model, train_insts, train_config_from(cfg), out_dir=out_dir)
+    history = train(model, train_insts, train_config_from(cfg, len(train_insts)),
+                    out_dir=out_dir)
     return model, history, val_insts
 
 
@@ -358,6 +376,9 @@ def gradcheck(model, n, d, L=1, h=1e-5, loss="mse", seed=0, batch=1):
     """Worst relative error between central differences with step ``h`` and
     the tape gradient, over every parameter of the model block ``model``
     built for (n, d, L) data, through its ``loss`` on one random batch."""
+    if h <= 0:
+        raise ConfigError(f"gradcheck: step h {h} must be positive")
+    _configured("gradcheck", TrainConfig(loss=loss).validate)
     net = model_from_config(model, n, d, L)
     rng = np.random.default_rng(seed_chain(seed, 31))
     x = Tensor(rng.normal(size=(batch, n, d)))

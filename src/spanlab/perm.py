@@ -15,7 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from spanlab.nn import xavier_init
-from spanlab.tensor import DomainError, ShapeMismatch, Tensor
+from spanlab.tensor import (
+    DomainError,
+    ShapeMismatch,
+    Tensor,
+    _active_tape,
+    _record,
+    _unbroadcast,
+)
 
 __all__ = [
     "PermMatrix",
@@ -68,11 +75,19 @@ def sinkhorn(logits, temperature, iterations):
     """Sinkhorn normalization of exp(logits/temperature).
 
     Runs ``iterations`` rounds of row normalization followed by column
-    normalization, in log space for stability; fully differentiable by
-    unrolling.  Accepts an (n,n) matrix or a (B,n,n) batch.  Each round ends
+    normalization, in log space for stability, as one taped op whose VJP
+    replays the rounds in reverse (the unrolled gradient of Mena et al.,
+    2018).  Accepts an (n,n) matrix or a (B,n,n) batch.  Each round ends
     with the column step, so the columns of the result sum to 1 while the
     rows only approach 1: at n=4, temperature 0.1 and 20 rounds the row sums
     can be off by 0.05-0.35.
+
+    The forward does the arithmetic of ``logits * (1/temperature)``, then
+    per half-round ``x - x.logsumexp(axis, keepdims=True)``, then ``exp``,
+    and the VJP adds each half-round's two contributions in the order the
+    tape would for that composition of ops, so values and gradients are
+    bit-identical to it.  The half-round outputs are kept only while a tape
+    is recording.
     """
     if temperature <= 0.0:
         raise DomainError(f"sinkhorn: temperature {temperature} must be positive")
@@ -86,12 +101,27 @@ def sinkhorn(logits, temperature, iterations):
     if not np.isfinite(logits.data).all():
         raise DomainError("sinkhorn: logits must be finite")
 
-    log_p = logits * (1.0 / temperature)
+    factor = float(1.0 / temperature)
+    x = logits.data * factor + 0.0
+    taped = _active_tape() is not None
+    steps = []  # (half-round output, shape of its log-normalizer)
     for _ in range(iterations):
         # normalize across columns (unit row sums), then across rows
-        log_p = log_p - log_p.logsumexp(axis=-1, keepdims=True)
-        log_p = log_p - log_p.logsumexp(axis=-2, keepdims=True)
-    return log_p.exp()
+        for axis in (-1, -2):
+            m = np.max(x, axis=axis, keepdims=True)
+            lse = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
+            x = x - lse
+            if taped:
+                steps.append((x, lse.shape))
+    out = np.exp(x)
+
+    def vjp(g):
+        g = out * g
+        for y, shape in reversed(steps):
+            g = g + np.exp(y) * _unbroadcast(-g, shape)
+        return factor * g
+
+    return _record("sinkhorn", (logits,), out, (vjp,))
 
 
 def is_doubly_stochastic(matrix, tol=1e-6):

@@ -484,7 +484,7 @@ _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 
 
-class IdxFormatError(ValueError):
+class IdxFormatError(TaskError):
     """Malformed IDX file."""
 
 

@@ -1,9 +1,11 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-Every differentiable computation in this package (LSTM steps, Sinkhorn
-iterations, losses) is built from the primitives here.  Ops record on the
-active ``GradTape`` one vector-Jacobian product (VJP) per input, which maps the
-output's gradient to that input's contribution.  ``GradTape.gradient`` replays
+Every differentiable computation in this package (LSTM steps, losses) is
+built from the primitives here, except Sinkhorn: ``spanlab.perm.sinkhorn`` is
+one op of its own, recorded through ``_record`` with a VJP that replays its
+rounds.  Ops record on the active ``GradTape`` one vector-Jacobian product
+(VJP) per input, which maps the output's gradient to that input's
+contribution.  ``GradTape.gradient`` replays
 the VJPs in reverse order, pruned to the work its sources need: it runs an
 op's VJP for input ``i`` only when that input is a source or depends on one.
 Pruning keeps the bits, because every consumer of a tensor that depends on a

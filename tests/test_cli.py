@@ -348,6 +348,52 @@ class TestUserErrorsExit2:
         assert code == 2 and "source" in err
         assert not (tmp_path / "run" / "checkpoint").exists()
 
+    def test_truncated_idx_file(self, tmp_path, capsys):
+        (tmp_path / "img.idx").write_bytes(b"\x00\x00\x08\x03")
+        (tmp_path / "lbl.idx").write_bytes(b"\x00\x00\x08\x01")
+        cfg_path = write_config(tmp_path / "cfg.json", {
+            "task": dict(TASK_BLOCKS["maxdigit"], source="mnist",
+                         images_path=str(tmp_path / "img.idx"),
+                         labels_path=str(tmp_path / "lbl.idx")),
+        })
+        code, err = self.run_main(["gen", "--config", cfg_path,
+                                   "--out", str(tmp_path / "out")], capsys)
+        assert code == 2 and err.endswith("img.idx: truncated header")
+
+    def test_unknown_pooling(self, tmp_path, capsys):
+        cfg = percentile_config(tmp_path)
+        cfg["model"] = {"kind": "deepsets", "width": 8, "pooling": "mean"}
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        assert code == 2 and err == (
+            "error: model: DeepSetsModel: unknown pooling 'mean'")
+        assert not (tmp_path / "run" / "checkpoint").exists()
+
+    def test_unknown_loss(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "cfg.json",
+                                percentile_config(tmp_path, loss="mae"))
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        assert code == 2 and err == "error: train: TrainConfig: unknown loss 'mae'"
+        assert not (tmp_path / "run" / "checkpoint").exists()
+
+    def test_batch_larger_than_the_training_split(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "cfg.json",
+                                percentile_config(tmp_path, batch_size=33))
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        assert code == 2 and err.endswith("batch size 33 exceeds dataset size 32")
+
+    @pytest.mark.parametrize("block, message", [
+        ({"h": 0}, "error: gradcheck: step h 0 must be positive"),
+        ({"loss": "mae"}, "error: gradcheck: TrainConfig: unknown loss 'mae'"),
+    ])
+    def test_gradcheck_bad_value(self, tmp_path, capsys, block, message):
+        cfg_path = write_config(tmp_path / "cfg.json", {
+            "model": {"kind": "deepsets", "width": 4, "seed": 0},
+            "gradcheck": {"n": 3, "d": 2, "L": 1, **block},
+        })
+        code, err = self.run_main(["gradcheck", "--config", cfg_path], capsys)
+        assert code == 2 and err == message
+
     def test_diverged_run(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "cfg.json",
                                 percentile_config(tmp_path, divergence_limit=1e-9))

@@ -1,8 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spanlab import perm as perm_module
+from spanlab.models import SpanModel
 from spanlab.perm import (
     PermMatrix,
     PermutationNetwork,
@@ -14,10 +17,12 @@ from spanlab.perm import (
 )
 from spanlab.tensor import (
     DomainError,
+    GradTape,
     ShapeMismatch,
     Tensor,
     finite_difference_check,
 )
+from spanlab.train import batch_loss
 
 
 def brute_force_match_weight(score):
@@ -116,6 +121,121 @@ class TestSinkhorn:
     def test_single_element(self):
         out = sinkhorn(np.array([[3.0]]), temperature=0.1, iterations=5)
         np.testing.assert_allclose(out.data, [[1.0]])
+
+
+def unrolled_sinkhorn(logits, temperature, iterations):
+    """Sinkhorn as a composition of tape ops: the reference the fused op must
+    match bit for bit, in value and in gradient."""
+    log_p = logits * (1.0 / temperature)
+    for _ in range(iterations):
+        log_p = log_p - log_p.logsumexp(axis=-1, keepdims=True)
+        log_p = log_p - log_p.logsumexp(axis=-2, keepdims=True)
+    return log_p.exp()
+
+
+def value_and_gradient(fn, logits, probe, temperature, iterations):
+    """Output of ``fn`` and the gradient of sum(output * probe) w.r.t. the
+    logits."""
+    x = Tensor(logits, trainable=True)
+    with GradTape() as tape:
+        out = fn(x, temperature, iterations)
+        loss = (out * Tensor(probe)).sum()
+    return out.data, tape.gradient(loss, [x])[0].data
+
+
+def spy_sinkhorn_vjp(monkeypatch):
+    """The names of the ops whose VJP the tape ran, one per run, for every
+    sinkhorn op recorded from here on."""
+    runs = []
+    real = perm_module._record
+
+    def recording(name, inputs, out_data, vjps):
+        (vjp,) = vjps
+
+        def run(g):
+            runs.append(name)
+            return vjp(g)
+
+        return real(name, inputs, out_data, (run,))
+
+    monkeypatch.setattr(perm_module, "_record", recording)
+    return runs
+
+
+class TestFusedSinkhorn:
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (1, 4, 4), (3, 1, 1), (3, 5, 5)])
+    @pytest.mark.parametrize("temperature", [0.1, 1.0])
+    @pytest.mark.parametrize("iterations", [1, 20])
+    def test_bit_identical_to_the_unrolled_composition(self, shape, temperature,
+                                                      iterations):
+        rng = np.random.default_rng(sum(shape) + iterations)
+        logits = rng.normal(size=shape)
+        probe = rng.normal(size=shape)
+        fused = value_and_gradient(sinkhorn, logits, probe, temperature, iterations)
+        reference = value_and_gradient(unrolled_sinkhorn, logits, probe,
+                                       temperature, iterations)
+        assert fused[0].tobytes() == reference[0].tobytes()
+        assert fused[1].tobytes() == reference[1].tobytes()
+
+    def test_bit_identical_where_rows_have_not_converged(self):
+        # the max-digit setting (n=4, tau 0.1, 20 rounds) on relu logits
+        rng = np.random.default_rng(13)
+        logits = np.maximum(rng.normal(scale=2.0, size=(8, 4, 4)), 0.0)
+        probe = rng.normal(size=(8, 4, 4))
+        fused = value_and_gradient(sinkhorn, logits, probe, 0.1, 20)
+        reference = value_and_gradient(unrolled_sinkhorn, logits, probe, 0.1, 20)
+        assert np.max(np.abs(fused[0].sum(axis=-1) - 1.0)) > 0.05
+        assert fused[0].tobytes() == reference[0].tobytes()
+        assert fused[1].tobytes() == reference[1].tobytes()
+
+    def test_gradient_matches_finite_differences_on_a_batch(self):
+        rng = np.random.default_rng(14)
+        logits = Tensor(rng.normal(size=(3, 4, 4)), trainable=True)
+        probe = Tensor(rng.normal(size=(3, 4, 4)))
+
+        def f(t):
+            return (sinkhorn(t, temperature=0.5, iterations=20) * probe).sum()
+
+        assert finite_difference_check(f, logits, h=1e-5) <= 1e-6
+
+    def test_without_a_tape_keeps_nothing(self):
+        logits = np.random.default_rng(16).normal(size=(8, 16, 16))
+
+        def peak(forward):
+            """Most bytes allocated at once while ``forward()`` runs, and
+            its result."""
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = forward()
+                return tracemalloc.get_traced_memory()[1] - before, result
+            finally:
+                tracemalloc.stop()
+
+        def taped():
+            with GradTape() as tape:
+                sinkhorn(logits, temperature=0.1, iterations=20)
+            return tape
+
+        untaped_bytes, _p = peak(
+            lambda: sinkhorn(logits, temperature=0.1, iterations=20))
+        taped_bytes, tape = peak(taped)
+        assert [op.name for op in tape._ops] == ["sinkhorn"]
+        # a few working arrays, against those plus 40 half-round outputs
+        assert untaped_bytes < 10 * logits.nbytes
+        assert taped_bytes > 40 * logits.nbytes
+
+    def test_learner_gradient_never_runs_the_sinkhorn_vjp(self, monkeypatch):
+        runs = spy_sinkhorn_vjp(monkeypatch)
+        rng = np.random.default_rng(17)
+        model = SpanModel(n=4, d=2, L=1, hidden=5, tau=0.5, sinkhorn_iters=10, seed=3)
+        x, y = Tensor(rng.normal(size=(3, 4, 2))), Tensor(rng.normal(size=(3, 1)))
+        with GradTape() as tape:
+            loss = batch_loss("mse", model.forward(x), y)
+        tape.gradient(loss, list(model.learner_parameters().values()))
+        assert runs == []
+        tape.gradient(loss, list(model.adversary_parameters().values()))
+        assert runs == ["sinkhorn"]
 
 
 class TestPermutationNetwork:

@@ -1,4 +1,5 @@
-"""Property tests for the tape's broadcasting rule and gradient pruning."""
+"""Property tests for the tape's broadcasting rule, gradient pruning and the
+fused Sinkhorn op."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import array_shapes, mutually_broadcastable_shapes  # noqa: E402
 
+from spanlab.perm import sinkhorn  # noqa: E402
 from spanlab.tensor import (  # noqa: E402
     GradTape,
     ShapeMismatch,
@@ -15,6 +17,7 @@ from spanlab.tensor import (  # noqa: E402
     concat,
     finite_difference_check,
 )
+from test_perm import unrolled_sinkhorn, value_and_gradient  # noqa: E402
 
 OPS = {
     "add": lambda x, y: x + y,
@@ -95,3 +98,24 @@ def test_pruned_gradients_match_the_full_set_bit_for_bit(seed, subset):
     pruned = tape.gradient(loss, [sources[i] for i in subset])
     for i, g in zip(subset, pruned):
         assert g.data.tobytes() == full[i].data.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.sampled_from([None, 1, 2, 3]),
+    n=st.integers(1, 5),
+    temperature=st.sampled_from([0.05, 0.1, 0.5, 1.0, 2]),
+    iterations=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_sinkhorn_is_the_unrolled_composition_bit_for_bit(
+        batch, n, temperature, iterations, seed):
+    shape = (n, n) if batch is None else (batch, n, n)
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=2.0, size=shape)
+    probe = rng.normal(size=shape)
+    fused = value_and_gradient(sinkhorn, logits, probe, temperature, iterations)
+    reference = value_and_gradient(unrolled_sinkhorn, logits, probe,
+                                   temperature, iterations)
+    assert fused[0].tobytes() == reference[0].tobytes()
+    assert fused[1].tobytes() == reference[1].tobytes()
