@@ -204,6 +204,7 @@ class DeepSetsModel(_ModelBase):
     def __init__(self, d, L, width=128, pooling="sum", dropout_rate=0.0, seed=0):
         if pooling not in ("sum", "max"):
             raise ValueError(f"DeepSetsModel: unknown pooling {pooling!r}")
+        dropout(None, dropout_rate, None, training=False)  # rejects a bad rate
         self.embed = LinearLayer(d, width, "relu", seed=seed_chain(seed, 0))
         self.post = LinearLayer(width, width, "relu", seed=seed_chain(seed, 1))
         self.readout = LinearLayer(width, L, "none", seed=seed_chain(seed, 2))

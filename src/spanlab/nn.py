@@ -31,13 +31,13 @@ def seed_chain(seed, *tags):
 
 
 def xavier_init(shape, seed):
-    """Trainable rank-2 tensor with entries uniform on +-sqrt(6/(fan_in+fan_out))."""
+    """Rank-2 tensor with entries uniform on +-sqrt(6/(fan_in+fan_out))."""
     shape = tuple(int(s) for s in shape)
     if len(shape) != 2:
         raise ShapeMismatch("xavier_init", shape)
     rng = np.random.default_rng(seed)
     bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-    return Tensor(rng.uniform(-bound, bound, size=shape), trainable=True)
+    return Tensor(rng.uniform(-bound, bound, size=shape))
 
 
 class LinearLayer:
@@ -50,7 +50,7 @@ class LinearLayer:
         self.out_dim = out_dim
         self.activation = activation
         self.weight = xavier_init((in_dim, out_dim), seed)
-        self.bias = Tensor(np.full(out_dim, bias_init), trainable=True)
+        self.bias = Tensor(np.full(out_dim, bias_init))
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
@@ -85,7 +85,7 @@ class LSTMCell:
                 (input_dim + hidden_dim, hidden_dim), seed_chain(seed, k)
             )
             init = forget_bias if gate == "f" else 0.0
-            self.biases[gate] = Tensor(np.full(hidden_dim, init), trainable=True)
+            self.biases[gate] = Tensor(np.full(hidden_dim, init))
 
     def step(self, x, h, c):
         """One recurrence step on a batch: x (B,in), h/c (B,hidden)."""

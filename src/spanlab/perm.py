@@ -82,12 +82,12 @@ def sinkhorn(logits, temperature, iterations):
     rows only approach 1: at n=4, temperature 0.1 and 20 rounds the row sums
     can be off by 0.05-0.35.
 
-    The forward does the arithmetic of ``logits * (1/temperature)``, then
-    per half-round ``x - x.logsumexp(axis, keepdims=True)``, then ``exp``,
-    and the VJP adds each half-round's two contributions in the order the
-    tape would for that composition of ops, so values and gradients are
-    bit-identical to it.  The half-round outputs are kept only while a tape
-    is recording.
+    The forward does the arithmetic of ``logits * (1/temperature)``, one
+    ``mul`` by a constant, then per half-round ``x - x.logsumexp(axis,
+    keepdims=True)``, then ``exp``, and the VJP adds each half-round's two
+    contributions in the order the tape would for that composition of ops,
+    so values and gradients are bit-identical to it.  The half-round outputs
+    are kept only while a tape is recording.
     """
     if temperature <= 0.0:
         raise DomainError(f"sinkhorn: temperature {temperature} must be positive")
@@ -102,7 +102,7 @@ def sinkhorn(logits, temperature, iterations):
         raise DomainError("sinkhorn: logits must be finite")
 
     factor = float(1.0 / temperature)
-    x = logits.data * factor + 0.0
+    x = logits.data * factor
     taped = _active_tape() is not None
     steps = []  # (half-round output, shape of its log-normalizer)
     for _ in range(iterations):

@@ -5,21 +5,23 @@ built from the primitives here, except Sinkhorn: ``spanlab.perm.sinkhorn`` is
 one op of its own, recorded through ``_record`` with a VJP that replays its
 rounds.  Ops record on the active ``GradTape`` one vector-Jacobian product
 (VJP) per input, which maps the output's gradient to that input's
-contribution.  ``GradTape.gradient`` replays
-the VJPs in reverse order, pruned to the work its sources need: it runs an
-op's VJP for input ``i`` only when that input is a source or depends on one.
+contribution.  ``GradTape.gradient`` is the only way back: it replays the
+VJPs in reverse order, pruned to the work its sources need, running an op's
+VJP for input ``i`` only when that input is a source or depends on one.
 Pruning keeps the bits, because every consumer of a tensor that depends on a
 source depends on it too, so each such tensor receives the same contributions
 in the same order as in a full replay.  Elementwise ops broadcast by NumPy's
 rule, and each operand's gradient is summed back over the axes it was
-broadcast along; shapes that do not broadcast raise ``ShapeMismatch``.
+broadcast along; shapes that do not broadcast raise ``ShapeMismatch``.  A
+Python or NumPy scalar operand is a constant 0-d ``Tensor`` under the same
+rule, so ``x - 1.0`` records one ``sub`` and ``-x`` is ``0.0 - x``.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,18 +66,14 @@ def _active_tape():
 class Tensor:
     """A dense float64 array, optionally participating in gradient tapes.
 
-    ``trainable`` marks a leaf whose gradient ``GradTape.backward`` reports.
     The wrapped array must never be mutated while a tape that saw it is still
     alive; optimizers therefore replace ``data`` instead of updating in place.
     """
 
-    __slots__ = ("data", "trainable", "uid")
-    _uids = itertools.count()
+    __slots__ = ("data",)
 
-    def __init__(self, data, trainable=False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.trainable = bool(trainable)
-        self.uid = next(Tensor._uids)
 
     @property
     def shape(self):
@@ -95,37 +93,37 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, trainable={self.trainable})"
+        return f"Tensor(shape={self.shape})"
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         return _add(self, other)
 
-    def __radd__(self, other):
-        return _add(self, other)
+    __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return _sub(self, other)
-        return _add(self, -float(other))
+        return _sub(self, other)
 
     def __rsub__(self, other):
-        return _scale(self, -1.0, float(other))
+        return _sub(other, self)
 
     def __mul__(self, other):
         return _mul(self, other)
 
-    def __rmul__(self, other):
-        return _mul(self, other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return _div(self, other)
-        return _mul(self, 1.0 / float(other))
+        divisor = _operand("div", other)
+        if np.any(divisor.data == 0.0):
+            raise DomainError("div: divisor has zero entries")
+        if divisor is other:
+            return _div(self, divisor)
+        # times the reciprocal: the rounding trained checkpoints depend on
+        return self * (1.0 / divisor.data)
 
     def __neg__(self):
-        return _scale(self, -1.0, 0.0)
+        return 0.0 - self
 
     def __matmul__(self, other):
         return _matmul(self, other)
@@ -150,12 +148,6 @@ class Tensor:
     def exp(self):
         out = np.exp(self.data)
         return _record("exp", (self,), out, (lambda g: out * g,))
-
-    def log(self):
-        x = self.data
-        if np.any(x <= 0.0):
-            raise DomainError("log: input has non-positive entries")
-        return _record("log", (self,), np.log(x), (lambda g: g / x,))
 
     # -- reductions -------------------------------------------------------
 
@@ -226,10 +218,6 @@ class Tensor:
         return _record("transpose", (self,), np.swapaxes(self.data, -1, -2),
                        (lambda g: np.swapaxes(g, -1, -2),))
 
-    @property
-    def T(self):
-        return self.transpose()
-
     def slice(self, axis, start, stop):
         """Contiguous sub-tensor along one axis."""
         shape = self.shape
@@ -253,20 +241,13 @@ class Tensor:
         """
         perm = np.asarray(perm, dtype=np.int64)
         x = self.data
-        if x.ndim == 2:
-            if perm.shape != (x.shape[0],):
-                raise ShapeMismatch("permute_rows", x.shape, perm.shape)
-            inv = np.argsort(perm, kind="stable")
-            return _record("permute_rows", (self,), x[perm],
-                           (lambda g: g[inv],))
-        if x.ndim == 3:
-            if perm.shape != x.shape[:2]:
-                raise ShapeMismatch("permute_rows", x.shape, perm.shape)
-            inv = np.argsort(perm, axis=1, kind="stable")
-            rows = np.arange(x.shape[0])[:, None]
-            return _record("permute_rows", (self,), x[rows, perm],
-                           (lambda g: g[rows, inv],))
-        raise ShapeMismatch("permute_rows", x.shape)
+        if x.ndim not in (2, 3) or perm.shape != x.shape[:-1]:
+            raise ShapeMismatch("permute_rows", x.shape, perm.shape)
+        # rank 3 reorders per batch element: x[arange(B)[:, None], perm]
+        batch = (np.arange(x.shape[0])[:, None],) * (x.ndim - 2)
+        inv = np.argsort(perm, axis=-1, kind="stable")
+        return _record("permute_rows", (self,), x[(*batch, perm)],
+                       (lambda g: g[(*batch, inv)],))
 
     def gather_rows(self, idx):
         """Select rows (with repetition allowed) from a rank-2 tensor."""
@@ -303,19 +284,22 @@ def _record(name, inputs, out_data, vjps):
     return out
 
 
-def _as_operand(op, other):
+def _operand(op, other):
+    """``other`` itself if it is a Tensor, else the scalar as a constant 0-d
+    Tensor."""
     if isinstance(other, Tensor):
         return other
     arr = np.asarray(other, dtype=np.float64)
     if arr.ndim != 0:
         raise ShapeMismatch(op, arr.shape)
-    return float(arr)
+    return Tensor(arr)
 
 
 def _binary(op, a, b, fn, grad_a, grad_b):
-    """Elementwise ``fn`` on NumPy-broadcast operands; ``grad_a(g, da, db)``
-    and ``grad_b(g, da, db)`` give the operand gradients at the broadcast
-    shape."""
+    """Elementwise ``fn`` on NumPy-broadcast operands, either of which may be
+    a scalar; ``grad_a(g, da, db)`` and ``grad_b(g, da, db)`` give the operand
+    gradients at the broadcast shape."""
+    a, b = _operand(op, a), _operand(op, b)
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -337,9 +321,6 @@ def _unbroadcast(g, shape):
 
 
 def _add(a, b):
-    b = _as_operand("add", b)
-    if isinstance(b, float):
-        return _record("add", (a,), a.data + b, (lambda g: g,))
     return _binary("add", a, b, np.add,
                    lambda g, da, db: g, lambda g, da, db: g)
 
@@ -349,22 +330,12 @@ def _sub(a, b):
                    lambda g, da, db: g, lambda g, da, db: -g)
 
 
-def _scale(a, factor, offset):
-    return _record("scale", (a,), a.data * factor + offset,
-                   (lambda g: factor * g,))
-
-
 def _mul(a, b):
-    b = _as_operand("mul", b)
-    if isinstance(b, float):
-        return _scale(a, b, 0.0)
     return _binary("mul", a, b, np.multiply,
                    lambda g, da, db: g * db, lambda g, da, db: g * da)
 
 
 def _div(a, b):
-    if np.any(b.data == 0.0):
-        raise DomainError("div: divisor has zero entries")
     return _binary("div", a, b, np.divide,
                    lambda g, da, db: g / db,
                    lambda g, da, db: -g * da / (db * db))
@@ -433,18 +404,16 @@ def _spread(g, shape, axis, keepdims):
 # gradient tape
 
 
-class _TapeOp:
-    __slots__ = ("name", "inputs", "output", "vjps")
-
-    def __init__(self, name, inputs, output, vjps):
-        self.name = name
-        self.inputs = inputs
-        self.output = output
-        self.vjps = vjps
+class _TapeOp(NamedTuple):
+    name: str
+    inputs: tuple  # id() of each input
+    output: int  # id() of the output
+    vjps: tuple
 
 
 class GradTape:
-    """Ordered record of primitive ops; replayed in reverse by ``gradient``.
+    """Ordered record of primitive ops; replayed in reverse by ``gradient``,
+    the only gradient entry point.
 
     Used as a context manager::
 
@@ -453,13 +422,14 @@ class GradTape:
         grads = tape.gradient(loss, params)
 
     One tape is single-owner: use it from one thread at a time.  Ops executed
-    while no tape is active are value-only and record nothing.
+    while no tape is active are value-only and record nothing.  The tape keys
+    tensors by ``id()`` and holds every tensor it saw, so no id is reused
+    while the tape is alive.
     """
 
     def __init__(self):
         self._ops = []
-        self._tensors = {}
-        self._leaves = []
+        self._tensors = {}  # id -> Tensor
 
     def __enter__(self):
         stack = getattr(_STATE, "tapes", None)
@@ -472,28 +442,13 @@ class GradTape:
         _STATE.tapes.pop()
         return False
 
-    def _register(self, t):
-        if t.uid not in self._tensors:
-            self._tensors[t.uid] = t
-            if t.trainable:
-                self._leaves.append(t.uid)
-
     def _record(self, name, inputs, output, vjps):
+        keys = []
         for t in inputs:
-            self._register(t)
-        self._tensors[output.uid] = output
-        self._ops.append(
-            _TapeOp(name, tuple(t.uid for t in inputs), output.uid, vjps)
-        )
-
-    def backward(self, loss):
-        """Gradients of a scalar loss w.r.t. every trainable leaf on the tape.
-
-        Returns a dict mapping leaf uid -> gradient Tensor (zero for leaves
-        the loss does not depend on).
-        """
-        leaves = [self._tensors[uid] for uid in self._leaves]
-        return {t.uid: g for t, g in zip(leaves, self.gradient(loss, leaves))}
+            keys.append(id(t))
+            self._tensors[id(t)] = t
+        self._tensors[id(output)] = output
+        self._ops.append(_TapeOp(name, tuple(keys), id(output), vjps))
 
     def gradient(self, loss, sources):
         """Gradients of a scalar loss w.r.t. specific tensors on the tape
@@ -509,28 +464,28 @@ class GradTape:
         """
         if not isinstance(loss, Tensor) or loss.size != 1:
             raise TapeError("gradient: loss must be a scalar Tensor")
-        if loss.uid not in self._tensors:
+        if id(loss) not in self._tensors:
             raise TapeError("gradient: loss was not computed on this tape")
         for s in sources:
-            if s.uid not in self._tensors:
+            if id(s) not in self._tensors:
                 raise TapeError("gradient: source tensor is not on this tape")
-        live = {s.uid for s in sources}
+        live = {id(s) for s in sources}
         ops = []
         for op in self._ops:
             if not live.isdisjoint(op.inputs):
                 live.add(op.output)
                 ops.append(op)
-        grads = {loss.uid: np.ones_like(loss.data)}
+        grads = {id(loss): np.ones_like(loss.data)}
         for op in reversed(ops):
             g = grads.get(op.output)
             if g is None:
                 continue
-            for uid, vjp in zip(op.inputs, op.vjps):
-                if uid in live:
+            for key, vjp in zip(op.inputs, op.vjps):
+                if key in live:
                     contrib = vjp(g)
-                    have = grads.get(uid)
-                    grads[uid] = contrib if have is None else have + contrib
-        return [Tensor(grads[s.uid] if s.uid in grads else np.zeros_like(s.data))
+                    have = grads.get(key)
+                    grads[key] = contrib if have is None else have + contrib
+        return [Tensor(grads[id(s)] if id(s) in grads else np.zeros_like(s.data))
                 for s in sources]
 
 

@@ -70,6 +70,8 @@ class TrainConfig:
             raise ValueError("TrainConfig: bad batch size or iteration count")
         if self.learner_steps < 0 or self.adversary_steps < 0:
             raise ValueError("TrainConfig: step counts must be nonnegative")
+        for kind in (self.optimizer, self.adversary_optimizer):
+            OptimizerState(kind)  # rejects an unknown kind
         if example_count is not None and example_count < self.batch_size:
             raise ValueError(
                 f"TrainConfig: batch size {self.batch_size} exceeds "

@@ -376,6 +376,25 @@ class TestUserErrorsExit2:
         assert code == 2 and err == "error: train: TrainConfig: unknown loss 'mae'"
         assert not (tmp_path / "run" / "checkpoint").exists()
 
+    @pytest.mark.parametrize("key, kind", [("optimizer", "sgdd"),
+                                           ("adversary_optimizer", "adamw")])
+    def test_unknown_optimizer(self, tmp_path, capsys, key, kind):
+        cfg_path = write_config(tmp_path / "cfg.json",
+                                percentile_config(tmp_path, **{key: kind}))
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        assert code == 2 and err == (
+            f"error: train: OptimizerState: unknown kind {kind!r}")
+        assert not (tmp_path / "run" / "history.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["deepsets", "janossy"])
+    def test_dropout_rate_outside_unit_interval(self, tmp_path, capsys, kind):
+        cfg = percentile_config(tmp_path)
+        cfg["model"] = dict(MODEL_BLOCKS[kind], kind=kind, dropout_rate=1.5)
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        assert code == 2 and err == "error: model: dropout: rate 1.5 outside [0, 1)"
+        assert not (tmp_path / "run" / "history.csv").exists()
+
     def test_batch_larger_than_the_training_split(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "cfg.json",
                                 percentile_config(tmp_path, batch_size=33))

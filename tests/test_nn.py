@@ -132,13 +132,13 @@ class TestLSTM:
 
 class TestAdam:
     def test_first_step_is_minus_lr(self):
-        p = Tensor(np.array([1.0, 1.0]), trainable=True)
+        p = Tensor(np.array([1.0, 1.0]))
         state = OptimizerState("adam", lr=0.01)
         adam_step(state, {"p": p}, {"p": np.ones(2)})
         np.testing.assert_allclose(p.data, 1.0 - 0.01, rtol=1e-7)
 
     def test_maximize_flips_sign(self):
-        p = Tensor(np.array([1.0]), trainable=True)
+        p = Tensor(np.array([1.0]))
         state = OptimizerState("adam", lr=0.01)
         adam_step(state, {"p": p}, {"p": np.ones(1)}, sign="maximize")
         np.testing.assert_allclose(p.data, 1.0 + 0.01, rtol=1e-7)
@@ -148,7 +148,7 @@ class TestAdam:
         grads = [rng.normal(size=(3,)) for _ in range(50)]
 
         def run(sign):
-            p = Tensor(np.array([0.5, -0.2, 0.1]), trainable=True)
+            p = Tensor(np.array([0.5, -0.2, 0.1]))
             state = OptimizerState("adam", lr=0.05, weight_decay=0.01)
             for g in grads:
                 gg = g if sign == "maximize" else -g
@@ -160,26 +160,26 @@ class TestAdam:
                                    rtol=0, atol=1e-12)
 
     def test_converges_on_quadratic(self):
-        p = Tensor(np.array([1.0]), trainable=True)
+        p = Tensor(np.array([1.0]))
         state = OptimizerState("adam", lr=0.1)
         for _ in range(200):
             adam_step(state, {"p": p}, {"p": 2.0 * p.data})
         assert abs(p.data[0]) < 0.05
 
     def test_shape_mismatch_rejected(self):
-        p = Tensor(np.ones(2), trainable=True)
+        p = Tensor(np.ones(2))
         state = OptimizerState("adam", lr=0.1)
         with pytest.raises(ShapeMismatch):
             adam_step(state, {"p": p}, {"p": np.ones(3)})
 
     def test_sgd_step(self):
-        p = Tensor(np.array([1.0]), trainable=True)
+        p = Tensor(np.array([1.0]))
         state = OptimizerState("sgd", lr=0.5)
         sgd_step(state, {"p": p}, {"p": np.array([2.0])})
         np.testing.assert_array_equal(p.data, [0.0])
 
     def test_dispatch(self):
-        p = Tensor(np.array([1.0]), trainable=True)
+        p = Tensor(np.array([1.0]))
         state = OptimizerState("sgd", lr=1.0)
         optimizer_step(state, {"p": p}, {"p": np.array([1.0])})
         assert p.data[0] == 0.0
@@ -212,7 +212,7 @@ class TestDropout:
             dropout(x, -0.1, np.random.default_rng(0), training=True)
 
     def test_gradient_scales_by_mask(self):
-        x = Tensor(np.ones(100), trainable=True)
+        x = Tensor(np.ones(100))
         rng_state = np.random.default_rng(3)
         with GradTape() as tape:
             out = dropout(x, 0.5, rng_state, training=True)

@@ -109,7 +109,7 @@ class TestSinkhorn:
     def test_differentiable_through_relu_matmul(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(4, 3)) + 0.3)
-        w = Tensor(rng.normal(size=(3, 4)), trainable=True)
+        w = Tensor(rng.normal(size=(3, 4)))
         probe = Tensor(rng.normal(size=(4, 4)))
 
         def f(t):
@@ -136,7 +136,7 @@ def unrolled_sinkhorn(logits, temperature, iterations):
 def value_and_gradient(fn, logits, probe, temperature, iterations):
     """Output of ``fn`` and the gradient of sum(output * probe) w.r.t. the
     logits."""
-    x = Tensor(logits, trainable=True)
+    x = Tensor(logits)
     with GradTape() as tape:
         out = fn(x, temperature, iterations)
         loss = (out * Tensor(probe)).sum()
@@ -190,7 +190,7 @@ class TestFusedSinkhorn:
 
     def test_gradient_matches_finite_differences_on_a_batch(self):
         rng = np.random.default_rng(14)
-        logits = Tensor(rng.normal(size=(3, 4, 4)), trainable=True)
+        logits = Tensor(rng.normal(size=(3, 4, 4)))
         probe = Tensor(rng.normal(size=(3, 4, 4)))
 
         def f(t):
@@ -311,8 +311,8 @@ class TestApplySoft:
 
     def test_differentiable_in_both_arguments(self):
         rng = np.random.default_rng(11)
-        p = Tensor(sinkhorn(rng.normal(size=(3, 3)), 1.0, 20).data, trainable=True)
-        x = Tensor(rng.normal(size=(3, 2)), trainable=True)
+        p = Tensor(sinkhorn(rng.normal(size=(3, 3)), 1.0, 20).data)
+        x = Tensor(rng.normal(size=(3, 2)))
         probe = Tensor(rng.normal(size=(3, 2)))
 
         def f_p(t):

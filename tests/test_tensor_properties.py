@@ -1,5 +1,5 @@
 """Property tests for the tape's broadcasting rule, gradient pruning and the
-fused Sinkhorn op."""
+fused Sinkhorn op, and Sinkhorn's invariants."""
 
 import numpy as np
 import pytest
@@ -41,8 +41,8 @@ def operand(rng, shape):
 def test_binary_gradients_match_finite_differences(name, shapes, seed):
     (shape_a, shape_b), out_shape = shapes
     rng = np.random.default_rng(seed)
-    a = Tensor(operand(rng, shape_a), trainable=True)
-    b = Tensor(operand(rng, shape_b), trainable=True)
+    a = Tensor(operand(rng, shape_a))
+    b = Tensor(operand(rng, shape_b))
     wout = Tensor(rng.normal(size=out_shape))
     op = OPS[name]
     assert op(a, b).shape == out_shape
@@ -72,16 +72,16 @@ def test_incompatible_shapes_raise(name, shape_a, shape_b):
 def pruning_graph(rng):
     """Leaves and intermediates of one loss that reuses tensors and takes
     every op kind the models use; returns (sources, loss)."""
-    x = Tensor(rng.normal(size=(3, 4)), trainable=True)
-    w = Tensor(rng.normal(size=(4, 5)), trainable=True)
-    b = Tensor(rng.normal(size=(5,)), trainable=True)
-    c = Tensor(rng.uniform(0.5, 2.0, size=(2, 5)), trainable=True)
+    x = Tensor(rng.normal(size=(3, 4)))
+    w = Tensor(rng.normal(size=(4, 5)))
+    b = Tensor(rng.normal(size=(5,)))
+    c = Tensor(rng.uniform(0.5, 2.0, size=(2, 5)))
     h = (x @ w + b).tanh()
     z = concat([h, c.sigmoid()], axis=0).permute_rows([4, 0, 3, 1, 2])
     s = z.logsumexp(axis=1) - z.max(axis=1)
     u = (h / c.sum(axis=0)).relu().exp().slice(1, 0, 3).gather_rows([2, 0, 2])
-    v = (x.T @ h).reshape((20,)).mean(axis=0, keepdims=True)
-    loss = (s * s).sum() + u.log().mean() - v.sum() * x.sum()
+    v = (x.transpose() @ h).reshape((20,)).mean(axis=0, keepdims=True)
+    loss = (s * s).sum() + u.mean() - v.sum() * x.sum()
     return [x, w, b, c, h, z], loss
 
 
@@ -119,3 +119,26 @@ def test_fused_sinkhorn_is_the_unrolled_composition_bit_for_bit(
                                    temperature, iterations)
     assert fused[0].tobytes() == reference[0].tobytes()
     assert fused[1].tobytes() == reference[1].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.sampled_from([None, 1, 3]),
+    n=st.integers(1, 6),
+    temperature=st.sampled_from([0.05, 0.1, 0.5, 1.0, 2]),
+    iterations=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sinkhorn_invariants(batch, n, temperature, iterations, seed):
+    """Nonnegative entries, unit column sums, and equivariance:
+    sinkhorn(Q L R) = Q sinkhorn(L) R for permutation matrices Q and R."""
+    shape = (n, n) if batch is None else (batch, n, n)
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=2.0, size=shape)
+    out = sinkhorn(logits, temperature, iterations).data
+    assert np.all(out >= 0.0)
+    assert np.max(np.abs(out.sum(axis=-2) - 1.0)) <= 1e-12
+    q = np.eye(n)[rng.permutation(n)]
+    r = np.eye(n)[rng.permutation(n)]
+    moved = sinkhorn(q @ logits @ r, temperature, iterations).data
+    assert np.max(np.abs(moved - q @ out @ r)) <= 1e-12
