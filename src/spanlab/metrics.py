@@ -28,7 +28,6 @@ __all__ = [
     "cosine_metric",
     "invariance_delta",
     "predict_instances",
-    "read_results_csv",
     "relative_error",
     "write_results_csv",
 ]
@@ -163,18 +162,6 @@ def write_results_csv(path, rows):
                 [r.task, r.model, r.seed, r.n, r.d, r.metric,
                  repr(r.value), repr(r.std)]
             )
-
-
-def read_results_csv(path):
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(MetricRow(
-                task=rec["task"], model=rec["model"], seed=int(rec["seed"]),
-                n=int(rec["n"]), d=int(rec["d"]), metric=rec["metric"],
-                value=float(rec["value"]), std=float(rec["std"]),
-            ))
-    return rows
 
 
 AGGREGATE_SEED = -1  # seed column sentinel for rows averaged across runs

@@ -30,7 +30,6 @@ __all__ = [
     "apply_soft",
     "greedy_round",
     "hard_match",
-    "is_doubly_stochastic",
     "sinkhorn",
 ]
 
@@ -55,20 +54,6 @@ class PermMatrix:
 
     def __repr__(self):
         return f"PermMatrix({self.pi.tolist()})"
-
-    def inverse(self):
-        return PermMatrix(np.argsort(self.pi, kind="stable"))
-
-    def to_matrix(self):
-        """0/1 matrix P with P[pi[i], i] = 1, so that P^T X reindexes rows."""
-        n = len(self)
-        mat = np.zeros((n, n))
-        mat[self.pi, np.arange(n)] = 1.0
-        return mat
-
-    def apply(self, x):
-        """Row reindexing: output row i is x[pi[i]]."""
-        return np.asarray(x)[self.pi]
 
 
 def sinkhorn(logits, temperature, iterations):
@@ -122,18 +107,6 @@ def sinkhorn(logits, temperature, iterations):
         return factor * g
 
     return _record("sinkhorn", (logits,), out, (vjp,))
-
-
-def is_doubly_stochastic(matrix, tol=1e-6):
-    """True when entries are nonnegative and all row/column sums are 1 +- tol."""
-    m = matrix.data if isinstance(matrix, Tensor) else np.asarray(matrix)
-    if m.shape[-1] != m.shape[-2]:
-        return False
-    return bool(
-        np.all(m >= 0.0)
-        and np.max(np.abs(m.sum(axis=-1) - 1.0)) <= tol
-        and np.max(np.abs(m.sum(axis=-2) - 1.0)) <= tol
-    )
 
 
 class PermutationNetwork:

@@ -1,20 +1,25 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-Every differentiable computation in this package (LSTM steps, losses) is
-built from the primitives here, except Sinkhorn: ``spanlab.perm.sinkhorn`` is
-one op of its own, recorded through ``_record`` with a VJP that replays its
-rounds.  Ops record on the active ``GradTape`` one vector-Jacobian product
-(VJP) per input, which maps the output's gradient to that input's
-contribution.  ``GradTape.gradient`` is the only way back: it replays the
-VJPs in reverse order, pruned to the work its sources need, running an op's
-VJP for input ``i`` only when that input is a source or depends on one.
-Pruning keeps the bits, because every consumer of a tensor that depends on a
-source depends on it too, so each such tensor receives the same contributions
-in the same order as in a full replay.  Elementwise ops broadcast by NumPy's
-rule, and each operand's gradient is summed back over the axes it was
-broadcast along; shapes that do not broadcast raise ``ShapeMismatch``.  A
-Python or NumPy scalar operand is a constant 0-d ``Tensor`` under the same
-rule, so ``x - 1.0`` records one ``sub`` and ``-x`` is ``0.0 - x``.
+Every differentiable computation in this package (layers, losses) is built
+from the primitives here, except the two fused ops: ``spanlab.perm.sinkhorn``
+and ``spanlab.nn.LSTMCell.run`` are each one op of their own, recorded
+through ``_record`` with VJPs that replay their rounds or steps, so a
+span-desk forward and loss record 15 tape entries where the same arithmetic
+as primitive ops recorded 414.  Ops record on the active ``GradTape`` one
+vector-Jacobian product (VJP) per input, which maps the output's gradient to
+that input's contribution.  ``GradTape.gradient`` is the only way back: it
+replays the VJPs in reverse order, pruned to the work its sources need,
+running an op's VJP for input ``i`` only when that input is a source or
+depends on one.  Pruning keeps the bits, because every consumer of a tensor
+that depends on a source depends on it too, so each such tensor receives the
+same contributions in the same order as in a full replay.  Elementwise ops
+broadcast by NumPy's rule, and each operand's gradient is summed back over
+the axes it was broadcast along; shapes that do not broadcast raise
+``ShapeMismatch``.  A Python or NumPy scalar operand is a constant 0-d
+``Tensor`` under the same rule, so ``x - 1.0`` records one ``sub`` and ``-x``
+is ``0.0 - x``.  An operand array of rank 1 or more raises ``ShapeMismatch``
+on either side of an operator, because ``Tensor`` opts out of NumPy's ufunc
+dispatch.
 """
 
 from __future__ import annotations
@@ -71,6 +76,9 @@ class Tensor:
     """
 
     __slots__ = ("data",)
+    # NumPy's operators defer to the reflected ones here instead of building
+    # an object array of Tensors
+    __array_ufunc__ = None
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)

@@ -31,7 +31,6 @@ __all__ = [
     "batch_loss_value",
     "load_history",
     "load_train_checkpoint",
-    "loss_eval",
     "save_history",
     "train_span",
     "train_standard",
@@ -98,13 +97,6 @@ def batch_loss(kind, preds, labels):
         picked = (preds * labels).sum(axis=1)
         return (lse - picked).mean()
     raise ValueError(f"batch_loss: unknown kind {kind!r}")
-
-
-def loss_eval(kind, prediction, label):
-    """Value-only loss for one prediction/label pair."""
-    pred = Tensor(np.asarray(prediction, dtype=np.float64).reshape(1, -1))
-    lab = Tensor(np.asarray(label, dtype=np.float64).reshape(1, -1))
-    return batch_loss(kind, pred, lab).item()
 
 
 def batch_loss_value(model, x, y, kind):
@@ -235,11 +227,14 @@ def _save_train_checkpoint(directory, model, counters, optimizers):
     The swap is two renames: the old checkpoint out of the way, then the
     staging directory in.  A partial staging directory left by an
     interrupted save never loads, because its manifest is written last, and
-    the next save removes it.
+    the next save removes it.  A save stopped between the two renames
+    leaves only the retired checkpoint; the next save renames it back first.
     """
     directory = Path(directory)
     staging = directory.with_name(f".{directory.name}.partial")
     retired = directory.with_name(f".{directory.name}.old")
+    if retired.exists() and not directory.exists():
+        retired.rename(directory)
     for leftover in (staging, retired):
         shutil.rmtree(leftover, ignore_errors=True)
     staging.mkdir(parents=True)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from spanlab.metrics import (
     average_relative_error,
     cosine_metric,
     invariance_delta,
-    read_results_csv,
     relative_error,
     write_results_csv,
 )
@@ -223,6 +224,15 @@ class TestCosine:
     def test_zero_vector_rejected(self):
         with pytest.raises(MetricError):
             cosine_metric([0.0, 0.0], [1.0, 0.0])
+
+
+def read_results_csv(path):
+    with open(path, newline="") as fh:
+        return [MetricRow(
+            task=rec["task"], model=rec["model"], seed=int(rec["seed"]),
+            n=int(rec["n"]), d=int(rec["d"]), metric=rec["metric"],
+            value=float(rec["value"]), std=float(rec["std"]),
+        ) for rec in csv.DictReader(fh)]
 
 
 class TestReports:

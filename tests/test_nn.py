@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spanlab import nn as nn_module
+from spanlab.models import SpanModel
 from spanlab.nn import (
     LSTMCell,
     LinearLayer,
@@ -16,8 +20,10 @@ from spanlab.tensor import (
     GradTape,
     ShapeMismatch,
     Tensor,
+    concat,
     finite_difference_check,
 )
+from spanlab.train import batch_loss
 
 
 class TestXavierInit:
@@ -85,12 +91,8 @@ class TestLSTM:
 
     def test_length_one_equals_single_step(self):
         cell = LSTMCell(3, 5, seed=4)
-        x = np.random.default_rng(1).normal(size=(1, 3))
-        h_seq = cell.run(Tensor(x.reshape(1, 1, 3)))
-        h0 = Tensor(np.zeros((1, 5)))
-        c0 = Tensor(np.zeros((1, 5)))
-        h_step, _ = cell.step(Tensor(x), h0, c0)
-        np.testing.assert_array_equal(h_seq.data, h_step.data)
+        x = Tensor(np.random.default_rng(1).normal(size=(1, 1, 3)))
+        assert cell.run(x).data.tobytes() == unrolled_lstm(cell, x).data.tobytes()
 
     def test_order_sensitivity(self):
         cell = LSTMCell(2, 6, seed=7)
@@ -120,6 +122,10 @@ class TestLSTM:
         with pytest.raises(ShapeMismatch):
             cell.run(Tensor(np.zeros((1, 5, 2))))
 
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            LSTMCell(3, 4, seed=0).run(Tensor(np.zeros((2, 0, 3))))
+
     def test_batched_matches_loop(self):
         cell = LSTMCell(2, 4, seed=3)
         rng = np.random.default_rng(8)
@@ -128,6 +134,149 @@ class TestLSTM:
         for b in range(3):
             single = cell.run(Tensor(batch[b][None])).data
             np.testing.assert_allclose(stacked[b], single[0], rtol=0, atol=1e-14)
+
+
+def unrolled_lstm(cell, sequence):
+    """The LSTM as a composition of tape ops, 20 per step: the reference the
+    fused ``LSTMCell.run`` must match bit for bit, in value and in the
+    gradient of every input."""
+    batch, steps, _ = sequence.shape
+    h = Tensor(np.zeros((batch, cell.hidden_dim)))
+    c = Tensor(np.zeros((batch, cell.hidden_dim)))
+    for t in range(steps):
+        x_t = sequence.slice(1, t, t + 1).reshape((batch, cell.input_dim))
+        z = concat([x_t, h], axis=1)
+
+        def gate(name):
+            return z @ cell.weights[name] + cell.biases[name]
+
+        i = gate("i").sigmoid()
+        f = gate("f").sigmoid()
+        o = gate("o").sigmoid()
+        g = gate("g").tanh()
+        c = f * c + i * g
+        h = o * c.tanh()
+    return h
+
+
+def lstm_value_and_gradients(run, cell, sequence, probe):
+    """Output of ``run(cell, sequence)`` and the gradients of
+    sum(output * probe) w.r.t. the sequence and each cell parameter."""
+    x = Tensor(sequence)
+    sources = [x, *cell.parameters().values()]
+    with GradTape() as tape:
+        out = run(cell, x)
+        loss = (out * Tensor(probe)).sum()
+    return [out.data] + [g.data for g in tape.gradient(loss, sources)]
+
+
+def fused_lstm(cell, sequence):
+    return cell.run(sequence)
+
+
+def spy_lstm_vjps(monkeypatch):
+    """For every lstm op recorded from here on: the input index of each VJP
+    the tape runs, in run order, and the number of reverse sweeps."""
+    runs, sweeps = [], []
+    record, sweep = nn_module._record, nn_module._lstm_sweep
+
+    def spied(k, vjp):
+        def run(g):
+            runs.append(k)
+            return vjp(g)
+        return run
+
+    def recording(name, inputs, out_data, vjps):
+        return record(name, inputs, out_data,
+                      tuple(spied(k, vjp) for k, vjp in enumerate(vjps)))
+
+    def counting(*args):
+        sweeps.append(True)
+        return sweep(*args)
+
+    monkeypatch.setattr(nn_module, "_record", recording)
+    monkeypatch.setattr(nn_module, "_lstm_sweep", counting)
+    return runs, sweeps
+
+
+class TestFusedLSTM:
+    @pytest.mark.parametrize("forget_bias", [0.0, 1.0])
+    @pytest.mark.parametrize("hidden", [1, 4])
+    @pytest.mark.parametrize("steps", [1, 2, 6])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_bit_identical_to_the_unrolled_composition(self, batch, steps, hidden,
+                                                      forget_bias):
+        rng = np.random.default_rng([batch, steps, hidden])
+        cell = LSTMCell(2, hidden, seed=steps, forget_bias=forget_bias)
+        sequence = rng.normal(size=(batch, steps, 2))
+        probe = rng.normal(size=(batch, hidden))
+        probe[0] = -0.0  # signed zeros reach every gradient of one set
+        fused = lstm_value_and_gradients(fused_lstm, cell, sequence, probe)
+        reference = lstm_value_and_gradients(unrolled_lstm, cell, sequence, probe)
+        assert len(fused) == 10
+        for got, want in zip(fused, reference):
+            assert got.tobytes() == want.tobytes()
+
+    def test_sequence_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(15)
+        cell = LSTMCell(2, 3, seed=15)
+        probe = Tensor(rng.normal(size=(2, 3)))
+        sequence = Tensor(rng.normal(size=(2, 5, 2)))
+
+        def f(x):
+            return (cell.run(x) * probe).sum()
+
+        assert finite_difference_check(f, sequence, h=1e-5) <= 1e-6
+
+    def test_each_gradient_runs_only_the_vjps_it_needs(self, monkeypatch):
+        runs, sweeps = spy_lstm_vjps(monkeypatch)
+        rng = np.random.default_rng(17)
+        model = SpanModel(n=4, d=2, L=1, hidden=5, tau=0.5, sinkhorn_iters=10, seed=3)
+        x, y = Tensor(rng.normal(size=(3, 4, 2))), Tensor(rng.normal(size=(3, 1)))
+        with GradTape() as tape:
+            loss = batch_loss("mse", model.forward(x), y)
+        # the learner: every gate weight and bias, never the sequence
+        tape.gradient(loss, list(model.learner_parameters().values()))
+        assert sorted(runs) == list(range(1, 9)) and len(sweeps) == 1
+        # the adversary: the sequence alone, from one more sweep
+        runs.clear()
+        tape.gradient(loss, list(model.adversary_parameters().values()))
+        assert runs == [0] and len(sweeps) == 2
+
+    def test_without_a_tape_keeps_no_per_step_state(self):
+        batch, steps, width, hidden = 16, 40, 8, 32
+        cell = LSTMCell(width, hidden, seed=1)
+        sequence = Tensor(np.random.default_rng(16).normal(size=(batch, steps, width)))
+        # z, four gate activations, c_{t-1} and tanh(c_t)
+        step_bytes = 8 * batch * ((width + hidden) + 6 * hidden)
+
+        def peak(forward):
+            """Most bytes allocated at once while ``forward()`` runs."""
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                forward()
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        def taped():
+            with GradTape():
+                cell.run(sequence)
+
+        assert peak(lambda: cell.run(sequence)) < 5 * step_bytes
+        assert peak(taped) > steps * step_bytes
+
+    def test_span_desk_forward_records_one_lstm_op(self):
+        rng = np.random.default_rng(18)
+        model = SpanModel(n=20, d=1, L=1, hidden=48, tau=0.1, sinkhorn_iters=20,
+                          input_scale=0.05, seed=0)
+        x = Tensor(rng.uniform(0.0, 100.0, size=(32, 20, 1)))
+        y = Tensor(rng.uniform(0.0, 100.0, size=(32, 1)))
+        with GradTape() as tape:
+            batch_loss("mse", model.forward(x), y)
+        names = [op.name for op in tape._ops]
+        assert len(names) <= 20 and names.count("lstm") == 1
 
 
 class TestAdam:

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,16 @@ def test_scalar_operand_is_a_constant_tensor(name, op, reference, slope, recorde
 def test_non_scalar_array_operand_rejected():
     with pytest.raises(ShapeMismatch):
         Tensor([1.0, 2.0]) + np.array([1.0, 2.0])
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
+                         ids=["add", "sub", "mul"])
+def test_array_operand_on_the_left_rejected(op):
+    """NumPy defers to the Tensor's reflected operator instead of building
+    an object array of Tensors.  A NumPy scalar on the left stays a constant
+    operand: see ``test_scalar_operand_is_a_constant_tensor``."""
+    with pytest.raises(ShapeMismatch):
+        op(np.array([1.0, 2.0]), Tensor([1.0, 2.0]))
 
 
 class TestPruning:

@@ -1,5 +1,5 @@
 """Property tests for the tape's broadcasting rule, gradient pruning and the
-fused Sinkhorn op, and Sinkhorn's invariants."""
+fused Sinkhorn and LSTM ops, and Sinkhorn's invariants."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import array_shapes, mutually_broadcastable_shapes  # noqa: E402
 
+from spanlab.nn import LSTMCell  # noqa: E402
 from spanlab.perm import sinkhorn  # noqa: E402
 from spanlab.tensor import (  # noqa: E402
     GradTape,
@@ -17,6 +18,7 @@ from spanlab.tensor import (  # noqa: E402
     concat,
     finite_difference_check,
 )
+from test_nn import fused_lstm, lstm_value_and_gradients, unrolled_lstm  # noqa: E402
 from test_perm import unrolled_sinkhorn, value_and_gradient  # noqa: E402
 
 OPS = {
@@ -119,6 +121,28 @@ def test_fused_sinkhorn_is_the_unrolled_composition_bit_for_bit(
                                    temperature, iterations)
     assert fused[0].tobytes() == reference[0].tobytes()
     assert fused[1].tobytes() == reference[1].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.integers(1, 3),
+    steps=st.integers(1, 8),
+    width=st.integers(1, 3),
+    hidden=st.integers(1, 5),
+    forget_bias=st.sampled_from([0.0, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_lstm_is_the_unrolled_composition_bit_for_bit(
+        batch, steps, width, hidden, forget_bias, seed):
+    rng = np.random.default_rng(seed)
+    cell = LSTMCell(width, hidden, seed=seed, forget_bias=forget_bias)
+    sequence = rng.normal(scale=2.0, size=(batch, steps, width))
+    probe = rng.normal(size=(batch, hidden))
+    probe[rng.random(probe.shape) < 0.25] = -0.0
+    fused = lstm_value_and_gradients(fused_lstm, cell, sequence, probe)
+    reference = lstm_value_and_gradients(unrolled_lstm, cell, sequence, probe)
+    for got, want in zip(fused, reference):
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,12 +11,18 @@ from spanlab.train import (
     batch_loss,
     batch_loss_value,
     load_history,
-    loss_eval,
     save_history,
     train_span,
     train_standard,
 )
 from spanlab.tensor import Tensor
+
+
+def loss_eval(kind, prediction, label):
+    """Value-only loss for one prediction/label pair."""
+    pred = Tensor(np.asarray(prediction, dtype=np.float64).reshape(1, -1))
+    lab = Tensor(np.asarray(label, dtype=np.float64).reshape(1, -1))
+    return batch_loss(kind, pred, lab).item()
 
 
 def sum_task_instances(count, n=10, seed=0):
@@ -279,6 +285,38 @@ class TestDeterminismAndResume:
                    resume_from=tmp_path / "run" / "checkpoint")
         assert (tmp_path / "run" / "history.csv").read_bytes() == \
             (tmp_path / "full" / "history.csv").read_bytes()
+
+    def test_save_after_a_cut_between_the_renames_keeps_the_old_checkpoint(
+            self, tmp_path, monkeypatch):
+        # a save stopped between its two renames leaves only .checkpoint.old;
+        # the next save puts it back before clearing leftovers, so even a
+        # cut in that save leaves a checkpoint to resume from
+        import spanlab.train
+
+        data = percentile_instances(16, seed=15)
+        cfg = TrainConfig(batch_size=4, outer_iters=4, learner_lr=1e-3,
+                          adversary_lr=1e-3, seed=15)
+        train_span(tiny_span_model(seed=15), data, cfg, out_dir=tmp_path / "full")
+        train_span(tiny_span_model(seed=15), data,
+                   TrainConfig(**{**vars(cfg), "outer_iters": 2}),
+                   out_dir=tmp_path / "run")
+        checkpoint = tmp_path / "run" / "checkpoint"
+        checkpoint.rename(tmp_path / "run" / ".checkpoint.old")
+
+        def cut(*args, **kwargs):
+            raise OSError("killed")
+
+        monkeypatch.setattr(spanlab.train, "save_checkpoint", cut)
+        with pytest.raises(OSError, match="killed"):
+            spanlab.train._save_train_checkpoint(
+                checkpoint, tiny_span_model(seed=15), {}, {})
+        monkeypatch.undo()
+
+        train_span(None, data, cfg, out_dir=tmp_path / "run", resume_from=checkpoint)
+        assert (tmp_path / "run" / "history.csv").read_bytes() == \
+            (tmp_path / "full" / "history.csv").read_bytes()
+        for blob in sorted((tmp_path / "full" / "checkpoint").glob("*.sptn")):
+            assert (checkpoint / blob.name).read_bytes() == blob.read_bytes()
 
     @pytest.mark.parametrize("damage", ["missing", "short"])
     def test_resume_without_its_history_raises(self, tmp_path, damage):
