@@ -6,6 +6,8 @@ it), ``eval`` (metrics for a checkpoint on the test split), ``oracle-verify``
 check through a model's full loss), and ``sweep`` (grid search selected on
 validation loss).  Every run writes a manifest embedding the fully resolved
 config, and identical config+seed reruns produce byte-identical outputs.
+Training and evaluation treat every model kind alike: they call its
+``forward`` and ``predict_batch``, and know no kind by name.
 
 Experiment configs are flat JSON with three blocks (task, model, train) plus
 optional ``split``, ``sweep`` and ``out_dir``; unknown keys are hard errors.
@@ -235,48 +237,31 @@ def write_manifest(out_dir, command, cfg):
 # evaluation
 
 
-class _AveragedPredictor:
-    """Permutation-averaged inference wrapper for the sampled-permutation
-    baseline.  Each call draws its orders from a fresh rng, so every set is
-    averaged over the same orders, whatever batch it is predicted in."""
-
-    def __init__(self, model, seed):
-        self.model = model
-        self.seed = seed
-
-    def predict_batch(self, x):
-        rng = np.random.default_rng(seed_chain(self.seed, 9901))
-        return self.model.predict_average(x, rng)
-
-    predict = predict_batch  # predict_average takes one set or a stack
-
-
-def evaluate_model(model, dataset, instances, model_kind, eval_seed):
-    """Metric rows for a frozen model on held-out instances."""
+def evaluate_model(model, dataset, instances, eval_seed):
+    """Metric rows for a frozen model on held-out instances, predicted
+    through its own ``predict_batch``.  ``eval_seed`` labels the rows and
+    seeds the orders of the invariance probe."""
     if not instances:
         raise ConfigError("eval: empty test split")
     task = dataset.header["task"]
-    predictor = model
-    if model_kind == "pisgd":
-        predictor = _AveragedPredictor(model, eval_seed)
     rows = []
     common = dict(
-        task=task, model=model_kind, seed=eval_seed,
+        task=task, model=model.kind, seed=eval_seed,
         n=dataset.header["n"], d=dataset.header["d"],
     )
     if task in ("kary", "percentile", "maxflow"):
         rows.append(MetricRow(metric="rel_error",
-                              value=average_relative_error(predictor, instances),
+                              value=average_relative_error(model, instances),
                               **common))
     elif task == "spiked":
         cosines = [
             cosine_metric(inst.label, pred)
-            for inst, pred in zip(instances, predict_instances(predictor, instances))
+            for inst, pred in zip(instances, predict_instances(model, instances))
         ]
         rows.append(MetricRow(metric="abs_cosine",
                               value=float(np.mean(cosines)), **common))
     elif task == "maxdigit":
-        max_f, last_f, other_f = ablation_fractions(predictor, instances)
+        max_f, last_f, other_f = ablation_fractions(model, instances)
         rows.append(MetricRow(metric="frac_max", value=max_f, **common))
         rows.append(MetricRow(metric="frac_last", value=last_f, **common))
         rows.append(MetricRow(metric="frac_other", value=other_f, **common))
@@ -287,7 +272,7 @@ def evaluate_model(model, dataset, instances, model_kind, eval_seed):
     rng = np.random.default_rng(seed_chain(eval_seed, 9902))
     probe = instances[: min(50, len(instances))]
     for inst in probe:
-        deltas.append(invariance_delta(predictor, inst.elements, rng=rng).value)
+        deltas.append(invariance_delta(model, inst.elements, rng=rng).value)
     deltas = np.array(deltas)
     rows.append(MetricRow(metric="delta_median",
                           value=float(np.median(deltas)), **common))
@@ -301,8 +286,7 @@ def _evaluate_checkpoint(cfg, checkpoint, out_dir):
     written to ``out_dir``.  The evaluation seed is the training seed."""
     model, _extra = load_checkpoint(checkpoint)
     dataset, _train, _val, test_insts = prepare_splits(cfg)
-    rows = evaluate_model(model, dataset, test_insts, cfg["model"]["kind"],
-                          train_config_from(cfg).seed)
+    rows = evaluate_model(model, dataset, test_insts, train_config_from(cfg).seed)
     aggregate_report(rows, out_dir)
     return rows
 
@@ -425,9 +409,7 @@ def _run_sweep_trial(payload):
     out_dir = Path(out_root) / f"trial_{label}"
     write_manifest(out_dir, "sweep-trial", trial)
     model, _history, val_insts = run_training(trial, out_dir)
-    x = np.stack([inst.elements for inst in val_insts])
-    y = np.stack([np.asarray(inst.label).reshape(-1) for inst in val_insts])
-    val_loss = batch_loss_value(model, x, y, train_config_from(trial).loss)
+    val_loss = batch_loss_value(model, val_insts, train_config_from(trial).loss)
     return {"assignment": assignment, "val_loss": val_loss,
             "out_dir": str(out_dir)}
 

@@ -7,6 +7,9 @@ read at step i.  Ablation variants drop the permutation network or swap the
 LSTM for a flat FC stack.  Baselines: sum-pooled DeepSets, k-ary tuple
 pooling, and an LSTM trained on randomly sampled permutations.
 
+Trainer and evaluator call only ``forward(x, training, rng)``, where ``rng``
+draws a training step's dropout masks or sampled orders, and ``predict_batch``.
+
 DeepSets and the tuple model reorder elements into canonical (lexicographic)
 value order before any arithmetic, which makes their permutation invariance
 exact at the bit level instead of merely up to float addition order.
@@ -23,13 +26,7 @@ import numpy as np
 
 from spanlab.nn import LSTMCell, LinearLayer, dropout, seed_chain
 from spanlab.perm import PermutationNetwork, _lex_row_order, apply_soft
-from spanlab.tensor import (
-    ShapeMismatch,
-    Tensor,
-    concat,
-    read_tensor_blob,
-    write_tensor_blob,
-)
+from spanlab.tensor import ShapeMismatch, Tensor, read_tensor_blob, write_tensor_blob
 
 __all__ = [
     "CheckpointError",
@@ -112,10 +109,10 @@ class _ModelBase:
 
     def predict(self, x):
         """Value-only prediction for a single (n,d) set."""
-        out = self.forward(_as_batch(np.asarray(x, dtype=np.float64)))
-        return out.data.reshape(self.out_dim)
+        return self.predict_batch(np.asarray(x)[None]).reshape(self.out_dim)
 
     def predict_batch(self, x):
+        """Value-only predictions (B, L) for a (B,n,d) stack."""
         return self.forward(_as_batch(np.asarray(x, dtype=np.float64))).data
 
     def _scaled(self, x):
@@ -250,24 +247,19 @@ class JanossyModel(_ModelBase):
         batch, n, d = x.shape
         if n < self.k:
             raise ShapeMismatch("janossy_forward", x.shape, (None, self.k, d))
-        x = x.permute_rows(_lex_row_order(x.data))
-        combos = tuple_index_array(n, self.k)
-        outs = []
-        for b in range(batch):
-            inst = x.slice(0, b, b + 1).reshape((n, d))
-            parts = [inst.gather_rows(combos[:, j]) for j in range(self.k)]
-            tuples = parts[0] if self.k == 1 else concat(parts, axis=1)
-            outs.append(self.inner.forward(
-                tuples.reshape((1, combos.shape[0], d * self.k)),
-                training=training, rng=rng,
-            ))
-        return outs[0] if batch == 1 else concat(outs, axis=0)
+        rows = x.permute_rows(_lex_row_order(x.data)).reshape((batch * n, d))
+        # one gather for the batch: tuple c of set b is its k rows side by side
+        index = tuple_index_array(n, self.k) + n * np.arange(batch)[:, None, None]
+        tuples = rows.gather_rows(index.reshape(-1))
+        tuples = tuples.reshape((batch, index.shape[1], self.k * d))
+        return self.inner.forward(tuples, training=training, rng=rng)
 
 
 class PiSgdModel(SpanNoApnModel):
-    """LSTM + readout trained on sampled permutations; inference averages
-    predictions over fresh random permutations.  ``forward`` is the plain
-    ordered forward; training permutes the batch through ``forward_train``."""
+    """LSTM + readout.  A training forward reads each set in a uniform order
+    drawn from ``rng``.  ``predict_batch`` averages over ``permutations``
+    orders drawn afresh from the model seed at every call, so every set is
+    averaged over the same orders, whatever batch it is predicted in."""
 
     kind = "pisgd"
 
@@ -275,10 +267,12 @@ class PiSgdModel(SpanNoApnModel):
                  seed=0, forget_bias=1.0):
         super().__init__(n, d, L, hidden, input_scale, seed, forget_bias)
 
-    def forward_train(self, x, perms):
-        """One sampled permutation per instance, then the ordered forward."""
-        x = _as_batch(x)
-        return self.forward(x.permute_rows(np.asarray(perms, dtype=np.int64)))
+    def forward(self, x, training=False, rng=None):
+        if training:
+            x = _as_batch(x)
+            batch, n, _d = x.shape
+            x = x.permute_rows(np.stack([rng.permutation(n) for _ in range(batch)]))
+        return super().forward(x)
 
     def predict_samples(self, x, rng):
         """Predictions for ``permutations`` fresh uniform row orders, in one
@@ -287,10 +281,11 @@ class PiSgdModel(SpanNoApnModel):
         x = np.asarray(x, dtype=np.float64)
         n, d = x.shape[-2:]
         perms = np.stack([rng.permutation(n) for _ in range(self.permutations)])
-        preds = self.predict_batch(x[..., perms, :].reshape((-1, n, d)))
+        preds = self.forward(Tensor(x[..., perms, :].reshape((-1, n, d)))).data
         return preds.reshape(x.shape[:-2] + (self.permutations, self.out_dim))
 
-    def predict_average(self, x, rng):
+    def predict_batch(self, x):
+        rng = np.random.default_rng(seed_chain(self.seed, 9901))
         return self.predict_samples(x, rng).mean(axis=-2)
 
 
@@ -339,17 +334,22 @@ def save_checkpoint(directory, model, extra=None):
     )
 
 
-def load_checkpoint(directory):
-    """Rebuild the model and overwrite its parameters from the blobs."""
+def load_checkpoint(directory, model=None):
+    """Overwrite the parameters of ``model`` from the blobs; (model, extra).
+    ``model`` must have the checkpoint's spec; None rebuilds it from that."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise CheckpointError(f"{directory}: missing manifest.json")
     try:
         manifest = json.loads(manifest_path.read_text())
-        model = build_model(manifest["model"])
+        built = build_model(manifest["model"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{directory}: unusable manifest.json: {exc}") from exc
+    model = model or built
+    if model.spec() != built.spec():
+        raise CheckpointError(f"{directory}: holds a {built.spec()} model, "
+                              f"not the given {model.spec()}")
     params = model.parameters()
     if sorted(params.keys()) != manifest["tensors"]:
         raise CheckpointError(f"{directory}: tensor list mismatch")

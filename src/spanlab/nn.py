@@ -30,7 +30,7 @@ __all__ = [
     "xavier_init",
 ]
 
-_ACTIVATIONS = ("none", "relu", "tanh")
+_ACTIVATIONS = ("none", "relu")
 
 
 def seed_chain(seed, *tags):
@@ -50,26 +50,22 @@ def xavier_init(shape, seed):
 
 
 class LinearLayer:
-    """Affine map plus optional activation, batch-first: (B,in) -> (B,out)."""
+    """Affine map plus optional ReLU, batch-first: (B,in) -> (B,out)."""
 
-    def __init__(self, in_dim, out_dim, activation="none", seed=0, bias_init=0.0):
+    def __init__(self, in_dim, out_dim, activation="none", seed=0):
         if activation not in _ACTIVATIONS:
             raise ValueError(f"LinearLayer: unknown activation {activation!r}")
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
         self.weight = xavier_init((in_dim, out_dim), seed)
-        self.bias = Tensor(np.full(out_dim, bias_init))
+        self.bias = Tensor(np.zeros(out_dim))
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeMismatch("linear_forward", x.shape, (None, self.in_dim))
         out = x @ self.weight + self.bias
-        if self.activation == "relu":
-            out = out.relu()
-        elif self.activation == "tanh":
-            out = out.tanh()
-        return out
+        return out.relu() if self.activation == "relu" else out
 
     def parameters(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -147,8 +143,7 @@ class LSTMCell:
             grad = np.zeros(seq.shape)
             for t, (_dp, dx) in enumerate(sweep(dh)):
                 grad[:, t] = dx
-            # as the tape summing one zero-padded slice per step: -0.0 -> +0.0
-            return grad + 0.0 if steps > 1 else grad
+            return grad
 
         def weight_vjp(k):
             return lambda dh: functools.reduce(np.add, (

@@ -4,10 +4,12 @@ The adversarial learner alternates block coordinate steps: freeze the
 permutation network and descend the learner parameters, then freeze the
 learner and ascend the permutation-network weight on the same loss, with
 gradients flowing through the unrolled Sinkhorn normalization.  Baselines
-train by plain minimization.  Runs are bit-reproducible: every stochastic
-stream (batch order, dropout masks, sampled permutations) is derived from
-the config seed and step counters, so a checkpoint plus counters resumes
-exactly, and the history.csv beside it supplies the rows trained so far.
+train by plain minimization; every model through one call,
+``model.forward(x, training=True, rng=rng)``.  Runs are bit-reproducible:
+the batch order comes from stream 7901 of the config seed and the epoch, and
+each step's ``rng`` (dropout masks, pi-SGD's sampled orders) from stream 5501
+and the global batch index, so a checkpoint plus counters resumes exactly,
+and the history.csv beside it supplies the rows trained so far.
 """
 
 from __future__ import annotations
@@ -99,10 +101,10 @@ def batch_loss(kind, preds, labels):
     raise ValueError(f"batch_loss: unknown kind {kind!r}")
 
 
-def batch_loss_value(model, x, y, kind):
-    """Value-only batch loss for a frozen model."""
-    preds = model.forward(Tensor(np.asarray(x, dtype=np.float64)))
-    return batch_loss(kind, preds, Tensor(np.asarray(y, dtype=np.float64))).item()
+def batch_loss_value(model, instances, kind):
+    """Value-only loss of a frozen model over ``instances`` as one batch."""
+    x, y = _stack_instances(instances)
+    return batch_loss(kind, model.forward(Tensor(x)), Tensor(y)).item()
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +181,7 @@ def _gradient_step(model, xb, yb, cfg, opt, params, sign, phase,
                    outer, global_batch):
     rng = np.random.default_rng(seed_chain(cfg.seed, 5501, global_batch))
     with GradTape() as tape:
-        if hasattr(model, "forward_train"):
-            # the sampled-permutation model reads each instance in a fresh
-            # uniform order at every step
-            perms = _sampled_perms(cfg, global_batch, *xb.shape[:2])
-            preds = model.forward_train(Tensor(xb), perms)
-        else:
-            preds = model.forward(Tensor(xb), training=True, rng=rng)
+        preds = model.forward(Tensor(xb), training=True, rng=rng)
         loss = batch_loss(cfg.loss, preds, Tensor(yb))
     value = loss.item()
     if not np.isfinite(value) or abs(value) > cfg.divergence_limit:
@@ -200,11 +196,6 @@ def _gradient_step(model, xb, yb, cfg, opt, params, sign, phase,
         named, _ = clip_global_norm(named, cfg.grad_clip)
     optimizer_step(opt, params, named, sign)
     return value
-
-
-def _sampled_perms(cfg, global_batch, batch, n):
-    rng = np.random.default_rng(seed_chain(cfg.seed, 6601, global_batch))
-    return np.stack([rng.permutation(n) for _ in range(batch)])
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +247,11 @@ def _save_train_checkpoint(directory, model, counters, optimizers):
     shutil.rmtree(retired, ignore_errors=True)
 
 
-def load_train_checkpoint(directory, cfg):
-    """Rebuild (model, counters, optimizers) from a training checkpoint."""
+def load_train_checkpoint(directory, cfg, model=None):
+    """(model, counters, optimizers) of a training checkpoint, its parameters
+    loaded into ``model`` as ``load_checkpoint`` does."""
     directory = Path(directory)
-    model, extra = load_checkpoint(directory)
+    model, extra = load_checkpoint(directory, model)
     counters = extra["counters"]
     optimizers = {}
     for group, meta in extra["optimizers"].items():
@@ -294,7 +286,8 @@ def _train(model, instances, cfg, out_dir, resume_from, phases):
     """Block coordinate training.  Per outer iteration, each phase
     (group, parameter method, sign, steps) takes ``steps`` optimizer steps
     on the model's group in the direction ``sign`` while the other groups
-    stay frozen.  All phases draw from one reshuffled batch stream."""
+    stay frozen.  All phases draw from one reshuffled batch stream.  With
+    ``resume_from``, ``model`` (None: the checkpoint's own) goes on from it."""
     cfg.validate(len(instances))
     x_all, y_all = _stack_instances(instances)
     stream = _BatchStream(len(instances), cfg.batch_size, cfg.seed)
@@ -303,7 +296,7 @@ def _train(model, instances, cfg, out_dir, resume_from, phases):
     global_batch = 0
     history = []
     if resume_from is not None:
-        model, counters, optimizers = load_train_checkpoint(resume_from, cfg)
+        model, counters, optimizers = load_train_checkpoint(resume_from, cfg, model)
         start_iter = counters["outer_iter"]
         global_batch = counters["global_batch"]
         history = _resumed_history(resume_from, global_batch)

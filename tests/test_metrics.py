@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from spanlab.cli import _AveragedPredictor, model_from_config
+from spanlab.cli import model_from_config
 from spanlab.metrics import (
     MetricError,
     MetricRow,
@@ -166,10 +166,9 @@ class TestBatchedEvaluation:
             return np.stack([self.model.predict(s) for s in x])
 
     def predictor(self, kind):
-        model = model_from_config(dict(self.CONFIGS[kind], kind=kind, seed=3),
-                                  self.N, self.D, self.L)
-        # evaluate_model scores pi-SGD through its averaged predictor
-        return _AveragedPredictor(model, 0) if kind == "pisgd" else model
+        # pi-SGD's predict_batch is its permutation-averaged predictor
+        return model_from_config(dict(self.CONFIGS[kind], kind=kind, seed=3),
+                                 self.N, self.D, self.L)
 
     def instances(self):
         rng = np.random.default_rng(40)
@@ -199,13 +198,12 @@ class TestBatchedEvaluation:
 
     @pytest.mark.parametrize("kind", sorted(CONFIGS))
     def test_delta_one_forward_same_permutations(self, kind):
-        predictor = self.predictor(kind)
-        model = getattr(predictor, "model", predictor)
+        model = self.predictor(kind)
         forward, calls = model.forward, []
         model.forward = lambda *a, **k: calls.append(1) or forward(*a, **k)
         for i, inst in enumerate(self.instances()):
             rng = np.random.default_rng(i)
-            invariance_delta(predictor, inst.elements, rng=rng)
+            invariance_delta(model, inst.elements, rng=rng)
             assert len(calls) == i + 1
             drawn = np.random.default_rng(i)
             for _ in range(20):

@@ -16,12 +16,14 @@ from spanlab.models import (
     save_checkpoint,
     tuple_index_array,
 )
+from spanlab.nn import seed_chain
 from spanlab.tensor import (
     GradTape,
     ShapeMismatch,
     Tensor,
     finite_difference_check,
 )
+from spanlab.train import batch_loss
 
 
 def rng_set(seed, n=5, d=3):
@@ -198,23 +200,46 @@ class TestJanossy:
         with pytest.raises(ShapeMismatch):
             m.predict(rng_set(21, n=2, d=2))
 
+    def test_tape_ops_do_not_grow_with_the_batch(self):
+        # one gather builds the tuples of the whole batch
+        m = JanossyModel(d=1, L=1, k=2, width=8, seed=22)
+        rng = np.random.default_rng(22)
+
+        def op_names(batch):
+            x = Tensor(rng.normal(size=(batch, 20, 1)))
+            y = Tensor(rng.normal(size=(batch, 1)))
+            with GradTape() as tape:
+                batch_loss("mse", m.forward(x), y)
+            return [op.name for op in tape._ops]
+
+        single = op_names(1)
+        assert op_names(32) == single
+        assert len(single) <= 20 and single.count("gather_rows") == 1
+
+
+def ordered_forward(model, x):
+    """The model's plain forward on one (n,d) set in the order given."""
+    return model.forward(Tensor(x[None])).data.reshape(model.out_dim)
+
 
 class TestPiSgd:
     def test_single_element_trivial(self):
         m = PiSgdModel(n=1, d=2, L=1, hidden=4, seed=22)
         x = rng_set(22, n=1, d=2)
-        rng = np.random.default_rng(0)
-        np.testing.assert_allclose(
-            m.predict_average(x, rng), m.predict(x), atol=1e-12
-        )
+        np.testing.assert_allclose(m.predict(x), ordered_forward(m, x), atol=1e-12)
 
     def test_constant_rows_average_equals_single(self):
         m = PiSgdModel(n=4, d=2, L=1, hidden=4, seed=23)
         x = np.tile(np.array([[0.3, -0.2]]), (4, 1))
-        rng = np.random.default_rng(1)
-        np.testing.assert_allclose(
-            m.predict_average(x, rng), m.predict(x), atol=1e-12
-        )
+        np.testing.assert_allclose(m.predict(x), ordered_forward(m, x), atol=1e-12)
+
+    def test_predict_averages_samples_from_the_model_seed(self):
+        m = PiSgdModel(n=6, d=2, L=1, hidden=8, permutations=7, seed=26)
+        x = rng_set(26, n=6, d=2)
+        rng = np.random.default_rng(seed_chain(26, 9901))
+        samples = m.predict_samples(x, rng)
+        assert samples.shape == (7, 1)
+        assert m.predict(x).tobytes() == samples.mean(axis=0).tobytes()
 
     def test_sample_spread_diagnostic(self):
         m = PiSgdModel(n=6, d=2, L=1, hidden=8, seed=24)
@@ -223,13 +248,14 @@ class TestPiSgd:
         assert samples.shape == (20, 1)
         assert samples.std(axis=0)[0] > 0.0
 
-    def test_forward_train_applies_perms(self):
+    def test_training_forward_reads_an_order_drawn_from_rng(self):
         m = PiSgdModel(n=3, d=2, L=1, hidden=4, seed=25)
         x = rng_set(25, n=3, d=2)
-        perm = np.array([[2, 0, 1]])
-        out = m.forward_train(x.reshape(1, 3, 2), perm).data
+        perm = np.random.default_rng(7).permutation(3)
+        out = m.forward(x.reshape(1, 3, 2), training=True,
+                        rng=np.random.default_rng(7)).data
         np.testing.assert_allclose(
-            out.reshape(1), m.predict(x[[2, 0, 1]]), atol=1e-12
+            out.reshape(1), ordered_forward(m, x[perm]), atol=1e-12
         )
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spanlab.models import DeepSetsModel, PiSgdModel, SpanModel
+from spanlab.nn import seed_chain
 from spanlab.tasks import SetInstance, gen_percentile
 from spanlab.tensor import DomainError
 from spanlab.train import (
@@ -102,16 +103,14 @@ class TestAlternation:
         for trial in range(10):
             model = tiny_span_model(seed=100 + trial)
             data = percentile_instances(8, seed=200 + trial)
-            x = np.stack([inst.elements for inst in data])
-            y = np.stack([inst.label for inst in data])
-            before = batch_loss_value(model, x, y, "mse")
+            before = batch_loss_value(model, data, "mse")
             cfg = TrainConfig(
                 batch_size=8, outer_iters=1, learner_steps=0,
                 adversary_steps=1, adversary_optimizer="sgd",
                 adversary_lr=1e-6, grad_clip=0.0, seed=300 + trial,
             )
             train_span(model, data, cfg)
-            after = batch_loss_value(model, x, y, "mse")
+            after = batch_loss_value(model, data, "mse")
             assert after >= before - 1e-15
 
     def test_zero_learning_rate_keeps_parameters(self):
@@ -230,6 +229,36 @@ class TestDeterminismAndResume:
         assert [f.name for f in full] == [f.name for f in resumed]
         for fa, fb in zip(full, resumed):
             assert fa.read_bytes() == fb.read_bytes(), fa.name
+
+    def test_resume_trains_the_given_model(self, tmp_path):
+        data = percentile_instances(16, seed=16)
+
+        def cfg(iters):
+            return TrainConfig(batch_size=4, outer_iters=iters, learner_lr=1e-3,
+                               adversary_lr=1e-3, seed=16)
+
+        full = tiny_span_model(seed=16)
+        train_span(full, data, cfg(4))
+        train_span(tiny_span_model(seed=16), data, cfg(2), out_dir=tmp_path / "half")
+        resumed = tiny_span_model(seed=16)
+        train_span(resumed, data, cfg(4),
+                   resume_from=tmp_path / "half" / "checkpoint")
+        params = full.parameters()
+        assert list(resumed.parameters()) == list(params)
+        for name, p in resumed.parameters().items():
+            assert p.data.tobytes() == params[name].data.tobytes(), name
+
+    def test_resume_into_a_model_of_another_spec_raises(self, tmp_path):
+        from spanlab.models import CheckpointError
+
+        data = percentile_instances(16, seed=17)
+        cfg = TrainConfig(batch_size=4, outer_iters=1, learner_lr=1e-3,
+                          adversary_lr=1e-3, seed=17)
+        train_span(tiny_span_model(seed=17), data, cfg, out_dir=tmp_path / "half")
+        with pytest.raises(CheckpointError, match="not the given"):
+            train_span(tiny_span_model(seed=18), data,
+                       TrainConfig(**{**vars(cfg), "outer_iters": 2}),
+                       resume_from=tmp_path / "half" / "checkpoint")
 
     def test_resumed_history_matches_uninterrupted(self, tmp_path):
         data = percentile_instances(16, seed=12)
@@ -375,9 +404,31 @@ class TestStandardTraining:
         model = PiSgdModel(n=6, d=1, L=1, hidden=8, seed=9)
         cfg = TrainConfig(loss="mse", batch_size=8, outer_iters=10,
                           learner_steps=1, learner_lr=1e-3, seed=9)
+        # the order each set is read in: where each LSTM input row sits in
+        # the batch the step was given (the elements are distinct scalars)
+        given, orders = [], []
+        forward, run = model.forward, model.lstm.run
+
+        def recording_forward(x, training=False, rng=None):
+            given.append(x.data[..., 0])
+            return forward(x, training=training, rng=rng)
+
+        def recording_run(sequence):
+            read = sequence.data[..., 0]
+            orders.append(np.array([[list(g).index(v) for v in r]
+                                    for g, r in zip(given[-1], read)]))
+            return run(sequence)
+
+        model.forward, model.lstm.run = recording_forward, recording_run
         history = train_standard(model, data, cfg)
         assert len(history) == 10
         assert all(np.isfinite(r.batch_loss) for r in history)
+        assert len(orders) == 10
+        for step, order in enumerate(orders):
+            drawn = np.random.default_rng(seed_chain(9, 5501, step))
+            expected = [drawn.permutation(6) for _ in range(8)]
+            np.testing.assert_array_equal(order, expected)
+        assert not np.array_equal(orders[0], orders[1])
 
     def test_history_is_finite_on_all_losses(self):
         rng = np.random.default_rng(10)
