@@ -146,7 +146,7 @@ def dataset_from_task(task, **overrides):
     """The dataset of a task block; ``overrides`` replace its generator
     arguments."""
     args = {k: v for k, v in task.items() if k not in ("kind", "test_count")}
-    return _task_generator(task["kind"])(**{**args, **overrides})
+    return _configured("task", _task_generator(task["kind"]), **{**args, **overrides})
 
 
 def split_fractions(train=0.8, val=0.1, test=0.1):

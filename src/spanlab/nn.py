@@ -1,6 +1,5 @@
 """Neural building blocks: fully-connected layers, an LSTM cell, Xavier
-initialization, dropout, and Adam/SGD steps with an optional maximize mode
-for the adversarial player."""
+initialization, dropout, the Adam step and global-norm gradient clipping."""
 
 from __future__ import annotations
 
@@ -24,9 +23,7 @@ __all__ = [
     "adam_step",
     "clip_global_norm",
     "dropout",
-    "optimizer_step",
     "seed_chain",
-    "sgd_step",
     "xavier_init",
 ]
 
@@ -208,22 +205,11 @@ def dropout(x, rate, rng, training):
 
 
 class OptimizerState:
-    """Adam or SGD over a named parameter group.
+    """Adam over a named parameter group: the learning rate, the step count
+    and the per-parameter moments."""
 
-    Adam keeps per-parameter moments (beta1=0.9, beta2=0.999, eps=1e-8).
-    Weight decay enters as an L2 gradient term before the moment update.
-    """
-
-    def __init__(self, kind="adam", lr=1e-4, weight_decay=0.0,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
-        if kind not in ("adam", "sgd"):
-            raise ValueError(f"OptimizerState: unknown kind {kind!r}")
-        self.kind = kind
+    def __init__(self, lr):
         self.lr = lr
-        self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {}
         self.v = {}
@@ -243,67 +229,34 @@ class OptimizerState:
         self.v = {k[2:]: np.asarray(v) for k, v in arrays.items() if k.startswith("v.")}
 
 
-def _prepare_grads(state, params, grads, sign):
-    if sign not in ("minimize", "maximize"):
-        raise ValueError(f"optimizer: unknown sign {sign!r}")
-    out = {}
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(state, params, grads):
+    """Bias-corrected Adam descent (beta1=0.9, beta2=0.999, eps=1e-8) on a
+    named dict of gradient arrays; parameters are replaced, not mutated."""
     for name, p in params.items():
-        g = grads[name]
-        g = g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise ShapeMismatch("optimizer_step", g.shape, p.data.shape)
-        if sign == "maximize":
-            g = -g  # ascend on f == descend on -f, bit-for-bit
-        if state.weight_decay:
-            g = g + state.weight_decay * p.data
-        out[name] = g
-    return out
-
-
-def adam_step(state, params, grads, sign="minimize"):
-    """Bias-corrected Adam update; parameters are replaced, not mutated."""
-    gs = _prepare_grads(state, params, grads, sign)
+        if grads[name].shape != p.data.shape:
+            raise ShapeMismatch("adam_step", grads[name].shape, p.data.shape)
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
     for name, p in params.items():
-        g = gs[name]
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        g = grads[name]
+        m = _BETA1 * state.m.get(name, 0.0) + (1.0 - _BETA1) * g
+        v = _BETA2 * state.v.get(name, 0.0) + (1.0 - _BETA2) * (g * g)
         state.m[name] = m
         state.v[name] = v
-        step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
         p.data = p.data - step
 
 
-def sgd_step(state, params, grads, sign="minimize"):
-    gs = _prepare_grads(state, params, grads, sign)
-    state.step_count += 1
-    for name, p in params.items():
-        p.data = p.data - state.lr * gs[name]
-
-
-def optimizer_step(state, params, grads, sign="minimize"):
-    if state.kind == "adam":
-        adam_step(state, params, grads, sign)
-    else:
-        sgd_step(state, params, grads, sign)
-
-
 def clip_global_norm(grads, max_norm):
-    """Scale a named gradient dict so its global L2 norm is at most max_norm."""
-    arrays = {
-        k: (g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64))
-        for k, g in grads.items()
-    }
-    total = np.sqrt(sum(float(np.sum(a * a)) for a in arrays.values()))
-    if max_norm <= 0 or total <= max_norm:
-        return arrays, total
+    """Scale a named dict of gradient arrays so its global L2 norm is at most
+    max_norm; (clipped dict, norm before clipping)."""
+    total = np.sqrt(sum(float(np.sum(a * a)) for a in grads.values()))
+    if total <= max_norm:
+        return grads, total
     scale = max_norm / total
-    return {k: a * scale for k, a in arrays.items()}, total
+    return {k: a * scale for k, a in grads.items()}, total

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from spanlab.nn import seed_chain
+
 __all__ = [
     "Dataset",
     "FlowGraph",
@@ -56,8 +58,7 @@ class TaskError(ValueError):
 
 def _stream(seed, tag):
     """Generator for one named substream of a task seed (int or sequence)."""
-    parts = [int(s) for s in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
-    return np.random.default_rng(parts + [tag])
+    return np.random.default_rng(seed_chain(seed, tag))
 
 
 @dataclass

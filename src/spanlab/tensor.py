@@ -125,10 +125,7 @@ class Tensor:
         divisor = _operand("div", other)
         if np.any(divisor.data == 0.0):
             raise DomainError("div: divisor has zero entries")
-        if divisor is other:
-            return _div(self, divisor)
-        # times the reciprocal: the rounding trained checkpoints depend on
-        return self * (1.0 / divisor.data)
+        return _div(self, divisor)
 
     def __neg__(self):
         return 0.0 - self

@@ -3,8 +3,9 @@
 The adversarial learner alternates block coordinate steps: freeze the
 permutation network and descend the learner parameters, then freeze the
 learner and ascend the permutation-network weight on the same loss, with
-gradients flowing through the unrolled Sinkhorn normalization.  Baselines
-train by plain minimization; every model through one call,
+gradients flowing through the unrolled Sinkhorn normalization.  Every step
+is one Adam step; an ascent step is descent on the negated gradient.
+Baselines train by plain minimization; every model through one call,
 ``model.forward(x, training=True, rng=rng)``.  Runs are bit-reproducible:
 the batch order comes from stream 7901 of the config seed and the epoch, and
 each step's ``rng`` (dropout masks, pi-SGD's sampled orders) from stream 5501
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from spanlab.models import CheckpointError, load_checkpoint, save_checkpoint
-from spanlab.nn import OptimizerState, clip_global_norm, optimizer_step, seed_chain
+from spanlab.nn import OptimizerState, adam_step, clip_global_norm, seed_chain
 from spanlab.tensor import GradTape, Tensor, read_tensor_blob, write_tensor_blob
 
 __all__ = [
@@ -54,10 +55,7 @@ class TrainConfig:
     outer_iters: int = 100
     learner_steps: int = 1
     adversary_steps: int = 1
-    weight_decay: float = 0.0
     grad_clip: float = 5.0
-    optimizer: str = "adam"
-    adversary_optimizer: str = "adam"
     seed: int = 0
     checkpoint_every: int = 0
     divergence_limit: float = 1e6
@@ -71,8 +69,9 @@ class TrainConfig:
             raise ValueError("TrainConfig: bad batch size or iteration count")
         if self.learner_steps < 0 or self.adversary_steps < 0:
             raise ValueError("TrainConfig: step counts must be nonnegative")
-        for kind in (self.optimizer, self.adversary_optimizer):
-            OptimizerState(kind)  # rejects an unknown kind
+        for key in ("grad_clip", "seed", "checkpoint_every"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"TrainConfig: {key} must be nonnegative")
         if example_count is not None and example_count < self.batch_size:
             raise ValueError(
                 f"TrainConfig: batch size {self.batch_size} exceeds "
@@ -177,8 +176,9 @@ def _stack_instances(instances):
 # core steps
 
 
-def _gradient_step(model, xb, yb, cfg, opt, params, sign, phase,
-                   outer, global_batch):
+def _gradient_step(model, xb, yb, cfg, opt, params, phase, outer, global_batch):
+    """One Adam step on ``params`` over one batch: descent for the learner,
+    ascent (descent on the negated clipped gradient) for the adversary."""
     rng = np.random.default_rng(seed_chain(cfg.seed, 5501, global_batch))
     with GradTape() as tape:
         preds = model.forward(Tensor(xb), training=True, rng=rng)
@@ -191,10 +191,12 @@ def _gradient_step(model, xb, yb, cfg, opt, params, sign, phase,
         )
     names = list(params.keys())
     grads = tape.gradient(loss, [params[k] for k in names])
-    named = dict(zip(names, grads))
+    named = {k: g.data for k, g in zip(names, grads)}
     if cfg.grad_clip > 0:
         named, _ = clip_global_norm(named, cfg.grad_clip)
-    optimizer_step(opt, params, named, sign)
+    if phase == "adversary":
+        named = {k: -g for k, g in named.items()}
+    adam_step(opt, params, named)
     return value
 
 
@@ -202,13 +204,9 @@ def _gradient_step(model, xb, yb, cfg, opt, params, sign, phase,
 # checkpointing with optimizer state
 
 
-def _optimizer(cfg, group, kind=None):
-    """A fresh optimizer for a parameter group; weight decay is a learner
-    term only."""
-    if group == "learner":
-        return OptimizerState(kind or cfg.optimizer, lr=cfg.learner_lr,
-                              weight_decay=cfg.weight_decay)
-    return OptimizerState(kind or cfg.adversary_optimizer, lr=cfg.adversary_lr)
+def _optimizer(cfg, group):
+    """A fresh optimizer for a parameter group, at the group's learning rate."""
+    return OptimizerState(cfg.learner_lr if group == "learner" else cfg.adversary_lr)
 
 
 def _save_train_checkpoint(directory, model, counters, optimizers):
@@ -233,7 +231,7 @@ def _save_train_checkpoint(directory, model, counters, optimizers):
     for group, opt in optimizers.items():
         arrays = opt.state_arrays()
         opt_meta[group] = {
-            "kind": opt.kind,
+            "kind": "adam",
             "step_count": opt.step_count,
             "tensors": sorted(arrays.keys()),
         }
@@ -249,13 +247,17 @@ def _save_train_checkpoint(directory, model, counters, optimizers):
 
 def load_train_checkpoint(directory, cfg, model=None):
     """(model, counters, optimizers) of a training checkpoint, its parameters
-    loaded into ``model`` as ``load_checkpoint`` does."""
+    loaded into ``model`` as ``load_checkpoint`` does.  Every optimizer must
+    be Adam: a checkpoint of another kind cannot resume."""
     directory = Path(directory)
     model, extra = load_checkpoint(directory, model)
     counters = extra["counters"]
     optimizers = {}
     for group, meta in extra["optimizers"].items():
-        opt = _optimizer(cfg, group, meta["kind"])
+        if meta.get("kind") != "adam":
+            raise CheckpointError(f"{directory}: optimizer {group} is "
+                                  f"{meta.get('kind')!r}, not 'adam'")
+        opt = _optimizer(cfg, group)
         arrays = {
             key: read_tensor_blob(directory / f"optimizer.{group}.{key}.sptn")
             for key in meta["tensors"]
@@ -284,10 +286,11 @@ def _resumed_history(directory, steps):
 
 def _train(model, instances, cfg, out_dir, resume_from, phases):
     """Block coordinate training.  Per outer iteration, each phase
-    (group, parameter method, sign, steps) takes ``steps`` optimizer steps
-    on the model's group in the direction ``sign`` while the other groups
-    stay frozen.  All phases draw from one reshuffled batch stream.  With
-    ``resume_from``, ``model`` (None: the checkpoint's own) goes on from it."""
+    (group, steps) takes ``steps`` optimizer steps on the model's
+    ``<group>_parameters()`` while the other groups stay frozen; the
+    adversary ascends, the learner descends.  All phases draw from one
+    reshuffled batch stream.  With ``resume_from``, ``model`` (None: the
+    checkpoint's own) goes on from it."""
     cfg.validate(len(instances))
     x_all, y_all = _stack_instances(instances)
     stream = _BatchStream(len(instances), cfg.batch_size, cfg.seed)
@@ -301,10 +304,10 @@ def _train(model, instances, cfg, out_dir, resume_from, phases):
         global_batch = counters["global_batch"]
         history = _resumed_history(resume_from, global_batch)
     else:
-        optimizers = {group: _optimizer(cfg, group) for group, *_ in phases}
+        optimizers = {group: _optimizer(cfg, group) for group, _steps in phases}
     params = {}
-    for group, method, _sign, _steps in phases:
-        params[group] = getattr(model, method)()
+    for group, _steps in phases:
+        params[group] = getattr(model, f"{group}_parameters")()
         if not params[group]:
             raise ValueError(f"model has no {group} parameters")
     if out_dir is not None:
@@ -320,12 +323,12 @@ def _train(model, instances, cfg, out_dir, resume_from, phases):
 
     try:
         for outer in range(start_iter, cfg.outer_iters):
-            for group, _method, sign, steps in phases:
+            for group, steps in phases:
                 for step in range(steps):
                     idx = stream.batch(global_batch)
                     value = _gradient_step(
                         model, x_all[idx], y_all[idx], cfg, optimizers[group],
-                        params[group], sign, group, outer + 1, global_batch,
+                        params[group], group, outer + 1, global_batch,
                     )
                     global_batch += 1
                     history.append(HistoryRow(outer + 1, group, step + 1, value))
@@ -347,8 +350,7 @@ def train_span(model, instances, cfg, out_dir=None, resume_from=None):
     ``adversary_steps`` ascent steps on the permutation network with the
     learner frozen.  Raises ValueError for a model without an adversary."""
     return _train(model, instances, cfg, out_dir, resume_from, [
-        ("learner", "learner_parameters", "minimize", cfg.learner_steps),
-        ("adversary", "adversary_parameters", "maximize", cfg.adversary_steps),
+        ("learner", cfg.learner_steps), ("adversary", cfg.adversary_steps),
     ])
 
 
@@ -356,5 +358,5 @@ def train_standard(model, instances, cfg, out_dir=None, resume_from=None):
     """Plain minimization for the baselines: ``outer_iters`` x
     ``learner_steps`` optimizer steps on the learner group."""
     return _train(model, instances, cfg, out_dir, resume_from, [
-        ("learner", "learner_parameters", "minimize", cfg.learner_steps),
+        ("learner", cfg.learner_steps),
     ])

@@ -377,13 +377,41 @@ class TestUserErrorsExit2:
         assert not (tmp_path / "run" / "checkpoint").exists()
 
     @pytest.mark.parametrize("key, kind", [("optimizer", "sgdd"),
-                                           ("adversary_optimizer", "adamw")])
+                                           ("adversary_optimizer", "adamw"),
+                                           ("weight_decay", 0.01)])
     def test_unknown_optimizer(self, tmp_path, capsys, key, kind):
+        # every group trains with Adam: there is no optimizer key to set
         cfg_path = write_config(tmp_path / "cfg.json",
                                 percentile_config(tmp_path, **{key: kind}))
         code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        assert code == 2 and err == f"error: unknown keys in train: {key}"
+        assert not (tmp_path / "run" / "history.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("seed", -1), ("grad_clip", -3.0),
+                                            ("checkpoint_every", -1)])
+    def test_negative_train_value(self, tmp_path, capsys, key, value):
+        cfg_path = write_config(tmp_path / "cfg.json",
+                                percentile_config(tmp_path, **{key: value}))
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
         assert code == 2 and err == (
-            f"error: train: OptimizerState: unknown kind {kind!r}")
+            f"error: train: TrainConfig: {key} must be nonnegative")
+        assert not (tmp_path / "run" / "history.csv").exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "cfg.json", percentile_config(tmp_path))
+        code, err = self.run_main(["train", "--config", cfg_path, "--seed", "-1"],
+                                  capsys)
+        assert code == 2 and err == (
+            "error: train: TrainConfig: seed must be nonnegative")
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_negative_task_seed(self, tmp_path, capsys, command):
+        cfg = percentile_config(tmp_path)
+        cfg["task"]["seed"] = -2
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        code, err = self.run_main([command, "--config", cfg_path], capsys)
+        assert code == 2 and err.startswith("error: task: ")
+        assert not (tmp_path / "run" / "dataset.jsonl").exists()
         assert not (tmp_path / "run" / "history.csv").exists()
 
     @pytest.mark.parametrize("kind", ["deepsets", "janossy"])
@@ -530,3 +558,24 @@ class TestDatasetFromTask:
                              for f in (tmp_path / name).glob("dataset*.jsonl")}
         assert len(written["short"]) == (2 if kind == "maxdigit" else 1)
         assert written["spelled"] == written["short"]
+
+
+class TestBenchmarkNames:
+    """The benchmark times the program through these names: ``bench/run.py``
+    wraps the six ``spanlab.cli`` names in ``Boundaries.install``, and its
+    tracer reads ``nn.optimizer_ms`` and ``nn.clip_ms`` from the two
+    ``spanlab.nn`` exports.  A rename fails here before it fails there."""
+
+    def test_cli_keeps_every_name_the_benchmark_wraps(self):
+        from spanlab import cli
+
+        for name in ("train_span", "train_standard", "load_checkpoint",
+                     "average_relative_error", "ablation_fractions",
+                     "invariance_delta"):
+            assert callable(getattr(cli, name, None)), name
+
+    def test_nn_exports_the_optimizer_step_and_the_clip(self):
+        from spanlab import nn
+
+        for name in ("adam_step", "clip_global_norm"):
+            assert name in nn.__all__ and callable(getattr(nn, name)), name

@@ -203,8 +203,7 @@ SCALAR_CASES = [
     ("c-x", lambda x, c: c - x, lambda x, c: c - x, lambda c: -1.0, ["sub"]),
     ("x*c", lambda x, c: x * c, lambda x, c: x * c, lambda c: c, ["mul"]),
     ("c*x", lambda x, c: c * x, lambda x, c: c * x, lambda c: c, ["mul"]),
-    ("x/c", lambda x, c: x / c, lambda x, c: x * (1.0 / c), lambda c: 1.0 / c,
-     ["mul"]),
+    ("x/c", lambda x, c: x / c, lambda x, c: x / c, lambda c: 1.0 / c, ["div"]),
     ("-x", lambda x, c: -x, lambda x, c: -x, lambda c: -1.0, ["sub"]),
 ]
 
@@ -215,7 +214,7 @@ SCALAR_CASES = [
 def test_scalar_operand_is_a_constant_tensor(name, op, reference, slope, recorded,
                                              const):
     """A scalar goes through the elementwise rule as a constant 0-d operand:
-    NumPy's bits, the analytic gradient and one add/sub/mul on the tape."""
+    NumPy's bits, the analytic gradient and one add/sub/mul/div on the tape."""
     data = np.random.default_rng(21).normal(size=(3, 4))
     x = Tensor(data)
     with GradTape() as tape:

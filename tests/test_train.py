@@ -1,10 +1,13 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 
-from spanlab.models import DeepSetsModel, PiSgdModel, SpanModel
-from spanlab.nn import seed_chain
+from spanlab.models import CheckpointError, DeepSetsModel, PiSgdModel, SpanModel
+from spanlab.nn import OptimizerState, adam_step, clip_global_norm, seed_chain
 from spanlab.tasks import SetInstance, gen_percentile
-from spanlab.tensor import DomainError
+from spanlab.tensor import DomainError, GradTape
 from spanlab.train import (
     HistoryRow,
     TrainConfig,
@@ -12,6 +15,7 @@ from spanlab.train import (
     batch_loss,
     batch_loss_value,
     load_history,
+    load_train_checkpoint,
     save_history,
     train_span,
     train_standard,
@@ -106,12 +110,51 @@ class TestAlternation:
             before = batch_loss_value(model, data, "mse")
             cfg = TrainConfig(
                 batch_size=8, outer_iters=1, learner_steps=0,
-                adversary_steps=1, adversary_optimizer="sgd",
-                adversary_lr=1e-6, grad_clip=0.0, seed=300 + trial,
+                adversary_steps=1, adversary_lr=1e-6, grad_clip=0.0,
+                seed=300 + trial,
             )
             train_span(model, data, cfg)
             after = batch_loss_value(model, data, "mse")
             assert after >= before - 1e-15
+
+    @pytest.mark.parametrize("phase", ["learner", "adversary"])
+    def test_step_is_adam_on_the_clipped_gradient_negated_for_the_adversary(
+            self, phase):
+        model = tiny_span_model(seed=6)
+        by_hand = copy.deepcopy(model)
+        data = percentile_instances(8, seed=6)
+        cfg = TrainConfig(batch_size=8, outer_iters=1,
+                          learner_steps=int(phase == "learner"),
+                          adversary_steps=int(phase == "adversary"),
+                          learner_lr=1e-2, adversary_lr=1e-2, grad_clip=1e-3,
+                          seed=6)
+        train_span(model, data, cfg)
+
+        # the trainer's first step: batch 0 of the stream, rng of stream 5501
+        order = np.random.default_rng(seed_chain(cfg.seed, 7901, 0)).permutation(8)
+        x = np.stack([data[i].elements for i in order])
+        y = np.stack([data[i].label.reshape(-1) for i in order])
+        params = getattr(by_hand, f"{phase}_parameters")()
+        rng = np.random.default_rng(seed_chain(cfg.seed, 5501, 0))
+        with GradTape() as tape:
+            loss = batch_loss("mse", by_hand.forward(Tensor(x), training=True,
+                                                     rng=rng), Tensor(y))
+        grads = tape.gradient(loss, list(params.values()))
+        raw = {k: g.data for k, g in zip(params, grads)}
+        clipped, norm = clip_global_norm(raw, cfg.grad_clip)
+        assert norm > cfg.grad_clip  # the clip is in play
+        if phase == "adversary":
+            clipped = {k: -g for k, g in clipped.items()}
+        before = {k: p.data for k, p in params.items()}
+        adam_step(OptimizerState(lr=1e-2), params, clipped)
+
+        trained = getattr(model, f"{phase}_parameters")()
+        ascent = 1.0 if phase == "adversary" else -1.0
+        for k, p in params.items():
+            assert trained[k].data.tobytes() == p.data.tobytes(), k
+            moved = raw[k] != 0.0
+            assert np.array_equal(np.sign(p.data - before[k])[moved],
+                                  ascent * np.sign(raw[k])[moved]), k
 
     def test_zero_learning_rate_keeps_parameters(self):
         model = tiny_span_model(seed=3)
@@ -158,7 +201,7 @@ class TestDeterminismAndResume:
     def test_torn_periodic_checkpoint_does_not_load(self, tmp_path, monkeypatch):
         import spanlab.models
         import spanlab.train
-        from spanlab.models import CheckpointError, load_checkpoint
+        from spanlab.models import load_checkpoint
         from spanlab.tensor import write_tensor_blob
 
         model = tiny_span_model(seed=8)
@@ -249,8 +292,6 @@ class TestDeterminismAndResume:
             assert p.data.tobytes() == params[name].data.tobytes(), name
 
     def test_resume_into_a_model_of_another_spec_raises(self, tmp_path):
-        from spanlab.models import CheckpointError
-
         data = percentile_instances(16, seed=17)
         cfg = TrainConfig(batch_size=4, outer_iters=1, learner_lr=1e-3,
                           adversary_lr=1e-3, seed=17)
@@ -349,8 +390,6 @@ class TestDeterminismAndResume:
 
     @pytest.mark.parametrize("damage", ["missing", "short"])
     def test_resume_without_its_history_raises(self, tmp_path, damage):
-        from spanlab.models import CheckpointError
-
         data = percentile_instances(16, seed=14)
         cfg = TrainConfig(batch_size=4, outer_iters=2, learner_lr=1e-3,
                           adversary_lr=1e-3, seed=14)
@@ -365,6 +404,22 @@ class TestDeterminismAndResume:
             train_span(None, data, TrainConfig(**{**vars(cfg), "outer_iters": 4}),
                        out_dir=tmp_path / "rest",
                        resume_from=tmp_path / "half" / "checkpoint")
+
+    def test_checkpoint_of_another_optimizer_does_not_resume(self, tmp_path):
+        data = percentile_instances(16, seed=19)
+        cfg = TrainConfig(batch_size=4, outer_iters=1, seed=19)
+        train_span(tiny_span_model(seed=19), data, cfg, out_dir=tmp_path / "half")
+        checkpoint = tmp_path / "half" / "checkpoint"
+        manifest = json.loads((checkpoint / "manifest.json").read_text())
+        assert [meta["kind"] for meta in
+                manifest["extra"]["optimizers"].values()] == ["adam", "adam"]
+        manifest["extra"]["optimizers"]["learner"]["kind"] = "sgd"
+        (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="learner is 'sgd'"):
+            load_train_checkpoint(checkpoint, cfg)
+        with pytest.raises(CheckpointError, match="learner is 'sgd'"):
+            train_span(None, data, TrainConfig(**{**vars(cfg), "outer_iters": 2}),
+                       resume_from=checkpoint)
 
     def test_standard_resume_matches(self, tmp_path):
         data = sum_task_instances(32, seed=7)
