@@ -284,6 +284,30 @@ class TestAdam:
         adam_step(state, {"p": p}, {"p": np.ones(2)})
         np.testing.assert_allclose(p.data, 1.0 - 0.01, rtol=1e-7)
 
+    def test_maximize_flips_sign(self):
+        # ascent is descent on the negated gradient: the first step is +lr
+        p = Tensor(np.array([1.0]))
+        state = OptimizerState(lr=0.01)
+        adam_step(state, {"p": p}, {"p": -np.ones(1)})
+        np.testing.assert_allclose(p.data, 1.0 + 0.01, rtol=1e-7)
+
+    def test_maximize_equals_minimize_of_negated(self):
+        # Adam is odd in its gradients: ascending on g (descent on -g)
+        # mirrors descending on g step for step
+        rng = np.random.default_rng(21)
+        grads = [rng.normal(size=(3,)) for _ in range(50)]
+        start = np.array([0.5, -0.2, 0.1])
+
+        def run(sign):
+            p = Tensor(start.copy())
+            state = OptimizerState(lr=0.05)
+            for g in grads:
+                adam_step(state, {"p": p}, {"p": sign * g})
+            return p.data
+
+        np.testing.assert_allclose(run(-1.0) - start, start - run(1.0),
+                                   rtol=0, atol=1e-12)
+
     def test_converges_on_quadratic(self):
         p = Tensor(np.array([1.0]))
         state = OptimizerState(lr=0.1)
