@@ -203,6 +203,12 @@ def model_from_config(model_cfg, n, d, label_dim):
     return _configured("model", cls, **args)
 
 
+def _data_model(cfg, dataset):
+    """The model block of ``cfg`` built for the dimensions of ``dataset``."""
+    header = dataset.header
+    return model_from_config(cfg["model"], header["n"], header["d"], header["L"])
+
+
 def train_config_from(cfg, example_count=None):
     """The validated ``TrainConfig`` of the train block; ``example_count``
     is the size of the training split, when known."""
@@ -282,10 +288,11 @@ def evaluate_model(model, dataset, instances, eval_seed):
 
 
 def _evaluate_checkpoint(cfg, checkpoint, out_dir):
-    """Metric rows for a checkpoint on the test split of ``cfg``, also
-    written to ``out_dir``.  The evaluation seed is the training seed."""
-    model, _extra = load_checkpoint(checkpoint)
+    """Metric rows for a checkpoint of the model block of ``cfg`` on its test
+    split, also written to ``out_dir``.  The evaluation seed is the training
+    seed."""
     dataset, _train, _val, test_insts = prepare_splits(cfg)
+    model, _extra = load_checkpoint(checkpoint, _data_model(cfg, dataset))
     rows = evaluate_model(model, dataset, test_insts, train_config_from(cfg).seed)
     aggregate_report(rows, out_dir)
     return rows
@@ -295,8 +302,7 @@ def run_training(cfg, out_dir):
     """Train the configured model; returns it, its history and the
     validation split."""
     dataset, train_insts, val_insts, _test = prepare_splits(cfg)
-    model = model_from_config(cfg["model"], dataset.header["n"],
-                              dataset.header["d"], dataset.header["L"])
+    model = _data_model(cfg, dataset)
     train = train_span if model.adversary_parameters() else train_standard
     history = train(model, train_insts, train_config_from(cfg, len(train_insts)),
                     out_dir=out_dir)
@@ -383,13 +389,35 @@ def cmd_gradcheck(cfg, out_dir, args):
 
 
 def _set_path(cfg, dotted, value):
-    parts = dotted.split(".")
+    *parents, last = dotted.split(".")
     node = cfg
-    for p in parts[:-1]:
-        if p not in node:
-            raise ConfigError(f"sweep grid path {dotted!r} not in config")
-        node = node[p]
-    node[parts[-1]] = value
+    for p in parents:
+        node = node.get(p)
+        if not isinstance(node, dict):
+            raise ConfigError(f"sweep grid path {dotted!r} is not a key of a "
+                              f"config block")
+    node[last] = value
+
+
+def _sweep_assignments(cfg):
+    """Every ((path, value), ...) assignment of the sweep grid, in order,
+    each checked to give a valid trial config."""
+    sweep = cfg["sweep"]
+    _check_keys(sweep, (set(), {"grid"}), "sweep")
+    grid = sweep.get("grid")
+    if not isinstance(grid, dict) or not grid:
+        raise ConfigError("sweep needs a non-empty grid")
+    for path, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep grid {path!r} must be a non-empty list "
+                              f"of values")
+    paths = sorted(grid)
+    assignments = [tuple(zip(paths, combo))
+                   for combo in itertools.product(*[grid[p] for p in paths])]
+    for assignment in assignments:
+        validate_config(_trial_config(cfg, assignment),
+                        require=("task", "model", "train"))
+    return assignments
 
 
 def _trial_config(cfg, assignment):
@@ -404,7 +432,6 @@ def _trial_config(cfg, assignment):
 def _run_sweep_trial(payload):
     cfg, assignment, out_root = payload
     trial = _trial_config(cfg, assignment)
-    validate_config(trial, require=("task", "model", "train"))
     label = "_".join(f"{p.split('.')[-1]}={v}" for p, v in assignment) or "base"
     out_dir = Path(out_root) / f"trial_{label}"
     write_manifest(out_dir, "sweep-trial", trial)
@@ -431,16 +458,8 @@ def sweep_workers():
 def cmd_sweep(cfg, out_dir, args):
     validate_config(cfg, require=("task", "model", "train", "sweep"))
     workers = sweep_workers()
-    grid = cfg["sweep"].get("grid", {})
-    if not grid:
-        raise ConfigError("sweep needs a non-empty grid")
-    for path in grid:
-        _set_path(copy.deepcopy(cfg), path, None)  # path check up front
-    paths = sorted(grid)
-    combos = list(itertools.product(*[grid[p] for p in paths]))
-    payloads = [
-        (cfg, tuple(zip(paths, combo)), str(out_dir)) for combo in combos
-    ]
+    payloads = [(cfg, assignment, str(out_dir))
+                for assignment in _sweep_assignments(cfg)]
     out_dir.mkdir(parents=True, exist_ok=True)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -138,13 +138,11 @@ class SpanModel(_ModelBase):
 
     def forward(self, x, training=False, rng=None):
         x = self._scaled(x)
-        p = self.pn.forward(x)
         # P X: row i of P weights the elements placed in slot i.  The network
         # is row-equivariant, so the P^T X form would cancel the input order
         # for any weights and leave the adversary nothing to choose.
-        permuted = apply_soft(p.transpose(), x)
-        h = self.lstm.run(permuted)
-        return self.readout.forward(h)
+        permuted = apply_soft(self.pn.forward(x), x)
+        return self.readout.forward(self.lstm.run(permuted))
 
 
 class SpanNoApnModel(_ModelBase):
@@ -181,8 +179,7 @@ class SpanFcModel(_ModelBase):
 
     def forward(self, x, training=False, rng=None):
         x = self._scaled(x)
-        p = self.pn.forward(x)
-        permuted = apply_soft(p.transpose(), x)  # P X, as in SpanModel
+        permuted = apply_soft(self.pn.forward(x), x)
         batch = permuted.shape[0]
         flat = permuted.reshape((batch, self.n * self.d))
         return self.readout.forward(self.hidden.forward(flat))

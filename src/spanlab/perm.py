@@ -6,8 +6,11 @@ it sharpens toward a permutation matrix as tau shrinks.  With a fixed round
 count the output is only near that polytope: each round ends with the column
 step, so columns sum to 1 and rows only approach 1.  The permutation
 network maps a set to per-input logits whose Sinkhorn image acts as a soft
-permutation.  Hard matchings (Hungarian, greedy rounding) exist for
-validation and diagnostics; training never hardens.
+permutation.  One convention holds throughout: row i of P is slot i, so
+``apply_soft`` returns P X, and a hard permutation is an index array ``pi``
+with ``np.eye(n)[pi] @ x == x[pi]`` (slot i reads source ``pi[i]``).  Hard
+matchings (Hungarian, greedy rounding) return such arrays, for validation and
+diagnostics; training never hardens.
 """
 
 from __future__ import annotations
@@ -25,35 +28,12 @@ from spanlab.tensor import (
 )
 
 __all__ = [
-    "PermMatrix",
     "PermutationNetwork",
     "apply_soft",
     "greedy_round",
     "hard_match",
     "sinkhorn",
 ]
-
-
-class PermMatrix:
-    """A hard permutation: pi[i] is the source row index for output row i."""
-
-    __slots__ = ("pi",)
-
-    def __init__(self, pi):
-        pi = np.asarray(pi, dtype=np.int64)
-        n = pi.shape[0]
-        if pi.ndim != 1 or not np.array_equal(np.sort(pi), np.arange(n)):
-            raise ValueError(f"PermMatrix: {pi!r} is not a permutation")
-        self.pi = pi
-
-    def __len__(self):
-        return self.pi.shape[0]
-
-    def __eq__(self, other):
-        return isinstance(other, PermMatrix) and np.array_equal(self.pi, other.pi)
-
-    def __repr__(self):
-        return f"PermMatrix({self.pi.tolist()})"
 
 
 def sinkhorn(logits, temperature, iterations):
@@ -115,8 +95,7 @@ class PermutationNetwork:
     The weight has shape (d, n), so one network is bound to one set size.
     Row i of the logits depends on element i alone, so the map is
     row-equivariant: permuting the input rows permutes the output rows.
-    The models apply the matrix as P X, reading its rows as output slots;
-    the P^T X form would cancel any input order for every weight.
+    ``apply_soft`` reads row i of the result as slot i of P X.
     """
 
     def __init__(self, d, n, temperature=0.1, iterations=100, seed=0):
@@ -141,12 +120,14 @@ class PermutationNetwork:
 
 
 def apply_soft(p, x):
-    """Permute a set by a soft matrix: returns P^T X.
+    """Permute a set by a soft matrix: returns P X, whose row i is the
+    P[i]-weighted blend of the elements, so ``np.eye(n)[pi]`` gives ``x[pi]``.
 
     Source rows are first reordered into lexicographic value order (an exact
     identity for the product), so averaging weights that are themselves
     permutation-symmetric, e.g. the uniform matrix, yields bit-identical
-    outputs however the input rows were ordered.
+    outputs however the input rows were ordered.  The product is taken as
+    (P^T reordered)^T: the matmul's bits depend on its operands' layout.
     """
     if not isinstance(p, Tensor):
         p = Tensor(p)
@@ -157,7 +138,7 @@ def apply_soft(p, x):
     if x.ndim not in (2, 3):
         raise ShapeMismatch("apply_soft", p.shape, x.shape)
     order = _lex_row_order(x.data)
-    return p.permute_rows(order).transpose() @ x.permute_rows(order)
+    return p.transpose().permute_rows(order).transpose() @ x.permute_rows(order)
 
 
 def _lex_row_order(rows):
@@ -169,9 +150,9 @@ def _lex_row_order(rows):
 def hard_match(score):
     """Exact maximum-weight matching of an n-by-n nonnegative score matrix.
 
-    Returns the PermMatrix pi maximizing sum_i score[pi[i], i] (the matching
-    read column-by-column).  Ties resolve toward the lexicographically
-    smallest pi via optimal-completion checks.
+    Returns the index array pi maximizing sum_i score[i, pi[i]] (row i is
+    slot i).  Ties resolve toward the lexicographically smallest pi via
+    optimal-completion checks.
     """
     score = score.data if isinstance(score, Tensor) else np.asarray(score, float)
     if score.ndim != 2 or score.shape[0] != score.shape[1]:
@@ -181,25 +162,21 @@ def hard_match(score):
     n = score.shape[0]
     if n == 0:
         raise ShapeMismatch("hard_match", score.shape)
-    # rows of A are output slots, columns are source elements
-    a = score.T.copy()
-    pi = _hungarian_max(a)
-    best = _match_weight(a, pi)
+    pi = _hungarian_max(score)
+    best = _match_weight(score, pi)
 
     # canonicalize: for each slot try smaller sources that keep the optimum
     for i in range(n):
         for j in range(int(pi[i])):
             if j in pi[:i]:
                 continue
-            candidate = _complete_assignment(a, pi[:i], i, j)
-            if candidate is None:
-                continue
-            weight = _match_weight(a, candidate)
+            candidate = _complete_assignment(score, pi[:i], i, j)
+            weight = _match_weight(score, candidate)
             if weight >= best:
                 best = weight
                 pi = candidate
                 break
-    return PermMatrix(pi)
+    return pi
 
 
 def _match_weight(a, pi):
@@ -208,7 +185,7 @@ def _match_weight(a, pi):
 
 def _complete_assignment(a, prefix, slot, source):
     """Best assignment with slots < ``slot`` fixed to ``prefix`` and
-    ``slot`` fixed to ``source``; None when no completion exists."""
+    ``slot`` fixed to ``source``, which ``prefix`` must not hold."""
     n = a.shape[0]
     used = set(int(v) for v in prefix) | {source}
     free_slots = list(range(slot + 1, n))
@@ -280,7 +257,8 @@ def _hungarian_max(a):
 
 
 def greedy_round(p):
-    """Round a doubly-stochastic matrix to a hard permutation.
+    """Round a doubly-stochastic matrix to a hard permutation pi, with
+    pi[r] = c where slot r reads source c.
 
     Entries are visited in descending order (row-major first among ties);
     each visit fixes an unused (row, column) pair.  O(n^2 log n).
@@ -298,10 +276,10 @@ def greedy_round(p):
         r, c = divmod(int(flat), n)
         if row_used[r] or col_used[c]:
             continue
-        pi[c] = r  # source r feeds output slot c
+        pi[r] = c
         row_used[r] = True
         col_used[c] = True
         placed += 1
         if placed == n:
             break
-    return PermMatrix(pi)
+    return pi

@@ -19,6 +19,7 @@ import csv
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -61,6 +62,13 @@ class TrainConfig:
     divergence_limit: float = 1e6
 
     def validate(self, example_count=None):
+        for key, kind in get_type_hints(TrainConfig).items():
+            value = getattr(self, key)
+            # a float field takes an int; no numeric field takes a bool
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise ValueError(
+                    f"TrainConfig: {key} must be {kind.__name__}, not {value!r}")
         if self.loss not in _LOSS_KINDS:
             raise ValueError(f"TrainConfig: unknown loss {self.loss!r}")
         if self.learner_lr < 0 or self.adversary_lr < 0:

@@ -397,6 +397,19 @@ class TestUserErrorsExit2:
             f"error: train: TrainConfig: {key} must be nonnegative")
         assert not (tmp_path / "run" / "history.csv").exists()
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("seed", 1.5, "int"), ("batch_size", 8.5, "int"),
+        ("outer_iters", 1.5, "int"), ("learner_lr", "0.1", "float"),
+    ])
+    def test_train_value_of_the_wrong_type(self, tmp_path, capsys, key, value,
+                                           kind):
+        cfg_path = write_config(tmp_path / "cfg.json",
+                                percentile_config(tmp_path, **{key: value}))
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        assert code == 2 and err == (
+            f"error: train: TrainConfig: {key} must be {kind}, not {value!r}")
+        assert not (tmp_path / "run" / "history.csv").exists()
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "cfg.json", percentile_config(tmp_path))
         code, err = self.run_main(["train", "--config", cfg_path, "--seed", "-1"],
@@ -481,6 +494,38 @@ class TestUserErrorsExit2:
                                    "--checkpoint", str(ckpt)], capsys)
         assert code == 2 and "readout.weight.sptn" in err
 
+    def test_eval_with_another_model_block(self, tmp_path, capsys):
+        cfg = percentile_config(tmp_path)
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["train", "--config", cfg_path]) == 0
+        cfg["model"] = {"kind": "deepsets", "width": 8, "seed": 3}
+        eval_path = write_config(tmp_path / "eval.json", cfg)
+        capsys.readouterr()
+        out = tmp_path / "evalout"
+        code, err = self.run_main(["eval", "--config", eval_path, "--checkpoint",
+                                   str(tmp_path / "run" / "checkpoint"),
+                                   "--out", str(out)], capsys)
+        assert code == 2 and "holds a {'kind': 'span'" in err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("sweep, message", [
+        ({"grid": {"model.width": 4}},
+         "sweep grid 'model.width' must be a non-empty list of values"),
+        ({"grid": {"model.width": []}},
+         "sweep grid 'model.width' must be a non-empty list of values"),
+        ({"grid": {"model.width.x": [4]}},
+         "sweep grid path 'model.width.x' is not a key of a config block"),
+        ({"grid": {"model.width": [4]}, "foo": 1}, "unknown keys in sweep: foo"),
+    ], ids=["scalar", "empty", "through-a-value", "unknown-key"])
+    def test_bad_sweep_block(self, tmp_path, capsys, sweep, message):
+        cfg = dict(small_sweep_config(), sweep=sweep)
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "sweepout"
+        code, err = self.run_main(["sweep", "--config", cfg_path,
+                                   "--out", str(out)], capsys)
+        assert code == 2 and err == f"error: {message}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("manifest", [
         '{"format": 1, "model": {"kind": "span"',
         '{"format": 1, "model": {"kind": "span", "n": 8, "d": 1, "L": 1, "hiden": 3}}',
@@ -562,9 +607,12 @@ class TestDatasetFromTask:
 
 class TestBenchmarkNames:
     """The benchmark times the program through these names: ``bench/run.py``
-    wraps the six ``spanlab.cli`` names in ``Boundaries.install``, and its
-    tracer reads ``nn.optimizer_ms`` and ``nn.clip_ms`` from the two
-    ``spanlab.nn`` exports.  A rename fails here before it fails there."""
+    wraps the six ``spanlab.cli`` names in ``Boundaries.install``; its tracer
+    reads ``nn.optimizer_ms`` and ``nn.clip_ms`` from the two ``spanlab.nn``
+    exports, the ``perm.*_ms`` figures from ``sinkhorn``, ``apply_soft`` and
+    ``PermutationNetwork.forward``, and ``models.checkpoint_save_ms`` per
+    ``save_checkpoint`` call; ``bench/test_checks.py`` saves and loads a
+    checkpoint.  A rename fails here before it fails there."""
 
     def test_cli_keeps_every_name_the_benchmark_wraps(self):
         from spanlab import cli
@@ -579,3 +627,35 @@ class TestBenchmarkNames:
 
         for name in ("adam_step", "clip_global_norm"):
             assert name in nn.__all__ and callable(getattr(nn, name)), name
+
+    def test_perm_keeps_the_names_the_tracer_times(self):
+        from spanlab import perm
+
+        for name in ("sinkhorn", "apply_soft", "PermutationNetwork"):
+            assert name in perm.__all__, name
+        assert callable(perm.sinkhorn) and callable(perm.apply_soft)
+        assert callable(perm.PermutationNetwork.forward)
+
+    def test_checkpoint_save_and_load_keep_their_shape(self, tmp_path):
+        from spanlab.models import SpanModel, load_checkpoint, save_checkpoint
+
+        model = SpanModel(n=4, d=2, L=1, hidden=3, sinkhorn_iters=2, seed=1)
+        save_checkpoint(directory=tmp_path / "ckpt", model=model)
+        loaded, extra = load_checkpoint(tmp_path / "ckpt")
+        assert loaded.spec() == model.spec() and extra == {}
+
+    def test_span_forward_and_loss_record_fifteen_ops(self):
+        from spanlab.models import SpanModel
+        from spanlab.tensor import GradTape, Tensor
+        from spanlab.train import batch_loss
+
+        model = SpanModel(n=4, d=2, L=1, hidden=3, sinkhorn_iters=2,
+                          input_scale=0.1, seed=1)
+        rng = np.random.default_rng(0)
+        with GradTape() as tape:
+            batch_loss("mse", model.forward(Tensor(rng.normal(size=(3, 4, 2)))),
+                       Tensor(rng.normal(size=(3, 1))))
+        assert [op.name for op in tape._ops] == [
+            "mul", "matmul", "relu", "sinkhorn", "transpose", "permute_rows",
+            "transpose", "permute_rows", "matmul", "lstm", "matmul", "add",
+            "sub", "mul", "mean"]

@@ -7,7 +7,6 @@ import pytest
 from spanlab import perm as perm_module
 from spanlab.models import SpanModel
 from spanlab.perm import (
-    PermMatrix,
     PermutationNetwork,
     apply_soft,
     greedy_round,
@@ -25,32 +24,20 @@ from spanlab.train import batch_loss
 
 
 def brute_force_match_weight(score):
-    """Independent oracle: max over all n! permutations of the matching weight."""
+    """Independent oracle: max over all n! permutations of the matching
+    weight, summed slot by slot."""
     n = score.shape[0]
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    weights = score[perms, np.arange(n)].sum(axis=1)
+    weights = score[np.arange(n), perms].sum(axis=1)
     return float(weights.max())
 
 
-def match_weight(score, perm):
-    return float(score[perm.pi, np.arange(len(perm))].sum())
+def match_weight(score, pi):
+    return float(score[np.arange(len(pi)), pi].sum())
 
 
-def to_matrix(perm):
-    """0/1 matrix P with P[pi[i], i] = 1, so that P^T X reindexes rows."""
-    n = len(perm)
-    mat = np.zeros((n, n))
-    mat[perm.pi, np.arange(n)] = 1.0
-    return mat
-
-
-def inverse(perm):
-    return PermMatrix(np.argsort(perm.pi, kind="stable"))
-
-
-def reindex(perm, x):
-    """Row reindexing: output row i is x[pi[i]]."""
-    return np.asarray(x)[perm.pi]
+def inverse(pi):
+    return np.argsort(pi, kind="stable")
 
 
 def is_doubly_stochastic(matrix, tol):
@@ -65,30 +52,28 @@ def is_doubly_stochastic(matrix, tol):
 
 
 class TestPermMatrix:
-    def test_bijection_required(self):
-        with pytest.raises(ValueError):
-            PermMatrix([0, 0, 2])
+    """A hard permutation is an index array pi; its matrix is np.eye(n)[pi]."""
 
     def test_transpose_is_inverse(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            pi = PermMatrix(rng.permutation(7))
-            mat = to_matrix(pi)
-            np.testing.assert_array_equal(mat.T, to_matrix(inverse(pi)))
+            pi = rng.permutation(7)
+            mat = np.eye(7)[pi]
+            np.testing.assert_array_equal(mat.T, np.eye(7)[inverse(pi)])
             np.testing.assert_array_equal(mat @ mat.T, np.eye(7))
 
     def test_apply_reindexes(self):
-        pi = PermMatrix([2, 0, 1])
+        pi = np.array([2, 0, 1])
         x = np.array([[0.0], [10.0], [20.0]])
-        np.testing.assert_array_equal(reindex(pi, x), [[20.0], [0.0], [10.0]])
+        np.testing.assert_array_equal(x[pi], [[20.0], [0.0], [10.0]])
+        np.testing.assert_array_equal(np.eye(3)[pi] @ x, x[pi])
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            pi = PermMatrix(rng.permutation(9))
-            np.testing.assert_array_equal(
-                reindex(inverse(pi), reindex(pi, np.arange(9.0))), np.arange(9.0)
-            )
+            pi = rng.permutation(9)
+            np.testing.assert_array_equal(np.arange(9.0)[pi][inverse(pi)],
+                                          np.arange(9.0))
 
 
 class TestSinkhorn:
@@ -305,7 +290,7 @@ class TestApplySoft:
         np.testing.assert_array_equal(out.data, x)
 
     def test_hard_swap(self):
-        swap = to_matrix(PermMatrix([1, 0]))
+        swap = np.eye(2)[[1, 0]]
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         out = apply_soft(swap, x)
         np.testing.assert_array_equal(out.data, [[3.0, 4.0], [1.0, 2.0]])
@@ -319,10 +304,10 @@ class TestApplySoft:
         rng = np.random.default_rng(9)
         for _ in range(25):
             n = int(rng.integers(2, 9))
-            pi = PermMatrix(rng.permutation(n))
+            pi = rng.permutation(n)
             x = rng.normal(size=(n, 3))
-            out = apply_soft(to_matrix(pi), x)
-            np.testing.assert_array_equal(out.data, reindex(pi, x))
+            out = apply_soft(np.eye(n)[pi], x)
+            np.testing.assert_array_equal(out.data, x[pi])
 
     def test_uniform_weights_are_order_canonical(self):
         # equal averaging weights must give bit-identical output under any
@@ -355,11 +340,11 @@ class TestApplySoft:
 class TestHardMatch:
     def test_diagonal_dominant(self):
         pi = hard_match(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        np.testing.assert_array_equal(pi.pi, [0, 1])
+        np.testing.assert_array_equal(pi, [0, 1])
 
     def test_antidiagonal(self):
         pi = hard_match(np.array([[0.1, 0.9], [0.8, 0.2]]))
-        np.testing.assert_array_equal(pi.pi, [1, 0])
+        np.testing.assert_array_equal(pi, [1, 0])
 
     def test_matches_brute_force_weight(self):
         rng = np.random.default_rng(12)
@@ -371,12 +356,12 @@ class TestHardMatch:
 
     def test_ties_break_lexicographically(self):
         pi = hard_match(np.full((3, 3), 0.5))
-        np.testing.assert_array_equal(pi.pi, [0, 1, 2])
+        np.testing.assert_array_equal(pi, [0, 1, 2])
         # two optimal matchings: (0,1) and (1,0); lexicographically smaller wins
         pi = hard_match(np.array([[0.6, 0.4], [0.4, 0.6]]))
-        np.testing.assert_array_equal(pi.pi, [0, 1])
+        np.testing.assert_array_equal(pi, [0, 1])
         pi = hard_match(np.array([[0.4, 0.6], [0.6, 0.4]]))
-        np.testing.assert_array_equal(pi.pi, [1, 0])
+        np.testing.assert_array_equal(pi, [1, 0])
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeMismatch):
@@ -392,13 +377,13 @@ class TestGreedyRound:
         rng = np.random.default_rng(13)
         for _ in range(20):
             n = int(rng.integers(2, 10))
-            pi = PermMatrix(rng.permutation(n))
-            noisy = to_matrix(pi) * 0.99 + rng.uniform(0, 0.001, size=(n, n))
-            assert greedy_round(noisy) == pi
+            pi = rng.permutation(n)
+            noisy = np.eye(n)[pi] * 0.99 + rng.uniform(0, 0.001, size=(n, n))
+            assert np.array_equal(greedy_round(noisy), pi)
 
     def test_uniform_gives_identity(self):
         pi = greedy_round(np.full((4, 4), 0.25))
-        np.testing.assert_array_equal(pi.pi, [0, 1, 2, 3])
+        np.testing.assert_array_equal(pi, [0, 1, 2, 3])
 
     def test_greedy_matches_hungarian_on_sharp_sinkhorn(self):
         rng = np.random.default_rng(14)
@@ -406,7 +391,7 @@ class TestGreedyRound:
         for _ in range(100):
             logits = rng.uniform(0.0, 1.0, size=(8, 8))
             sharp = sinkhorn(logits, temperature=0.01, iterations=100).data
-            if greedy_round(sharp) == hard_match(sharp):
+            if np.array_equal(greedy_round(sharp), hard_match(sharp)):
                 agree += 1
         assert agree >= 95
 
@@ -428,4 +413,4 @@ class TestGreedyRound:
             # to reach its (sharper) fixed point
             at_01 = greedy_round(sinkhorn(logits, 0.1, 100))
             at_001 = greedy_round(sinkhorn(logits, 0.01, 1000))
-            assert at_01 == at_001
+            assert np.array_equal(at_01, at_001)

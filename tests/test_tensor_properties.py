@@ -1,5 +1,8 @@
 """Property tests for the tape's broadcasting rule, gradient pruning and the
-fused Sinkhorn and LSTM ops, and Sinkhorn's invariants."""
+fused Sinkhorn and LSTM ops, Sinkhorn's invariants, and the hardening
+functions."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import array_shapes, mutually_broadcastable_shapes  # noqa: E402
 
 from spanlab.nn import LSTMCell  # noqa: E402
-from spanlab.perm import sinkhorn  # noqa: E402
+from spanlab.perm import apply_soft, greedy_round, hard_match, sinkhorn  # noqa: E402
 from spanlab.tensor import (  # noqa: E402
     GradTape,
     ShapeMismatch,
@@ -166,3 +169,45 @@ def test_sinkhorn_invariants(batch, n, temperature, iterations, seed):
     r = np.eye(n)[rng.permutation(n)]
     moved = sinkhorn(q @ logits @ r, temperature, iterations).data
     assert np.max(np.abs(moved - q @ out @ r)) <= 1e-12
+
+
+def is_permutation(pi, n):
+    return pi.dtype == np.int64 and np.array_equal(np.sort(pi), np.arange(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    high=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hardening_invariants(n, high, seed):
+    """On small-integer scores, where ties are common, ``hard_match`` returns
+    the lexicographically smallest permutation of maximum slot-order weight
+    and ``greedy_round`` a permutation; a one-hot ``np.eye(n)[pi]`` hardens
+    back to ``pi`` and applies as ``x[pi]``, bit for bit."""
+    rng = np.random.default_rng(seed)
+    score = rng.integers(0, high + 1, size=(n, n)).astype(np.float64)
+
+    def weight(pi):
+        return sum(score[i, pi[i]] for i in range(n))
+
+    pi = hard_match(score)
+    assert is_permutation(pi, n)
+    perms = list(itertools.permutations(range(n)))  # lexicographic order
+    weights = [weight(p) for p in perms]
+    best = max(weights)
+    assert weight(pi) == best
+    assert tuple(pi) == perms[weights.index(best)]
+    assert is_permutation(greedy_round(score), n)
+
+    orders = [rng.permutation(n) for _ in range(3)]
+    x = rng.normal(size=(3, n, 2))
+    for order, rows in zip(orders, x):
+        one_hot = np.eye(n)[order]
+        assert apply_soft(one_hot, rows).data.tobytes() == rows[order].tobytes()
+        assert np.array_equal(hard_match(one_hot), order)
+        assert np.array_equal(greedy_round(one_hot), order)
+    batched = apply_soft(np.stack([np.eye(n)[o] for o in orders]), x).data
+    assert batched.tobytes() == np.stack(
+        [rows[o] for o, rows in zip(orders, x)]).tobytes()

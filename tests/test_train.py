@@ -49,6 +49,19 @@ def percentile_instances(count, n=6, seed=0):
     return gen_percentile(n=n, r=50, count=count, seed=seed).instances
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", 8.5), ("seed", True), ("learner_lr", "0.1"),
+        ("grad_clip", False), ("loss", 1),
+    ])
+    def test_a_value_of_the_wrong_type_is_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            TrainConfig(**{key: value}).validate()
+
+    def test_a_float_field_takes_an_int(self):
+        TrainConfig(learner_lr=1, grad_clip=5, divergence_limit=10).validate()
+
+
 class TestLosses:
     def test_mse_zero_on_match(self):
         y = Tensor(np.array([[1.0, 2.0]]))
