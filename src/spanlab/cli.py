@@ -10,7 +10,10 @@ Training and evaluation treat every model kind alike: they call its
 ``forward`` and ``predict_batch``, and know no kind by name.
 
 Experiment configs are flat JSON with three blocks (task, model, train) plus
-optional ``split``, ``sweep`` and ``out_dir``; unknown keys are hard errors.
+optional ``split``, ``sweep`` and ``out_dir``.  The keys of a block are the
+annotated arguments of the function that consumes it, with their defaults and
+types; an unknown key, a missing required key and a value of the wrong type
+(by ``spanlab.train.has_type``, the one rule for every block) are hard errors.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -42,7 +46,7 @@ from spanlab.models import (
     constructor_args,
     load_checkpoint,
 )
-from spanlab.nn import seed_chain
+from spanlab.nn import Seed, seed_chain
 from spanlab.tasks import (
     TASK_KINDS,
     TaskError,
@@ -56,8 +60,10 @@ from spanlab.train import (
     TrainingDiverged,
     batch_loss,
     batch_loss_value,
+    has_type,
     train_span,
     train_standard,
+    type_error,
 )
 
 __all__ = ["main", "ConfigError", "load_config", "validate_config"]
@@ -70,7 +76,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config schema
 
-_TOP_KEYS = {"task", "model", "train", "split", "sweep", "out_dir", "gradcheck"}
+_TOP_KEYS = {"task": dict, "model": dict, "train": dict, "split": dict,
+             "sweep": dict, "gradcheck": dict, "out_dir": str | None}
 
 # model constructor arguments set by the data, not by the model block
 _DATA_DIMS = ("n", "d", "L")
@@ -79,62 +86,72 @@ _DATA_DIMS = ("n", "d", "L")
 def load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not has_type(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg
 
 
 def _task_generator(kind):
     # looked up as a module attribute, so a wrapper bound there sees the call
-    if kind not in TASK_KINDS:
+    if not (has_type(kind, str) and kind in TASK_KINDS):
         raise ConfigError(f"unknown task kind {kind!r}")
     return getattr(tasks, TASK_KINDS[kind])
 
 
 def _block_keys(name, block):
-    """(required, optional) keys of the config block ``name``: the arguments
-    of the function that consumes it, without and with a default."""
-    required, optional, exclude = set(), set(), ()
+    """The name of the function that consumes config block ``name``, and the
+    block's keys as {key: (type, required)}: that function's annotated
+    arguments, required where they have no default."""
+    keys, exclude = {}, ("model",)  # gradcheck's model is the config's model block
     if name == "task":
-        consumer, required = _task_generator(block.get("kind")), {"kind"}
+        consumer, keys = _task_generator(block.get("kind")), {"kind": (str, True)}
         if block["kind"] == "maxdigit":
-            optional = {"test_count"}  # read by _unbiased_test_split
+            keys["test_count"] = (int, False)  # read by _unbiased_test_split
     elif name == "model":
-        if block.get("kind") not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {block.get('kind')!r}")
-        consumer, required = MODEL_KINDS[block["kind"]].__init__, {"kind"}
+        kind = block.get("kind")
+        if not (has_type(kind, str) and kind in MODEL_KINDS):
+            raise ConfigError(f"unknown model kind {kind!r}")
+        consumer, keys = MODEL_KINDS[kind].__init__, {"kind": (str, True)}
         exclude = ("self", *_DATA_DIMS)
     else:
         consumer = {"train": TrainConfig, "split": split_fractions,
                     "gradcheck": gradcheck}[name]
-        exclude = ("model",)  # gradcheck's model is the config's model block
+    types = get_type_hints(consumer)
     for param in inspect.signature(consumer).parameters.values():
         if param.name not in exclude:
-            (required if param.default is param.empty else optional).add(param.name)
-    return required, optional
+            keys[param.name] = (types[param.name], param.default is param.empty)
+    return consumer.__qualname__.split(".")[0], keys
 
 
-def _check_keys(block, keys, where):
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    required, optional = keys
-    unknown = sorted(set(block) - set(required) - set(optional))
+def _check_keys(block, keys, where, owner=None):
+    """Check the config ``block`` against ``keys``, {key: (type, required)}.
+    Unknown and missing keys are reported for ``where``, and a value of the
+    wrong type as ``<owner>: <key> must be <type>, not <value>``."""
+    unknown = sorted(set(block) - set(keys))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
-    missing = sorted(set(required) - set(block))
+    missing = sorted(key for key, (_type, required) in keys.items()
+                     if required and key not in block)
     if missing:
         raise ConfigError(f"{where} is missing keys: {', '.join(missing)}")
+    types = {key: kind for key, (kind, _required) in keys.items()}
+    if error := type_error(owner or where, block, types):
+        raise ConfigError(error)
 
 
 def validate_config(cfg, require=("task",)):
-    _check_keys(cfg, (set(require), _TOP_KEYS), "config")
+    _check_keys(cfg, {key: (kind, key in require) for key, kind in _TOP_KEYS.items()},
+                "config")
     for name in ("task", "model", "train", "split", "gradcheck"):
         if name in cfg:
-            keys = _block_keys(name, cfg[name])
-            kind = f" ({cfg[name]['kind']})" if "kind" in keys[0] else ""
-            _check_keys(cfg[name], keys, name + kind)
+            owner, keys = _block_keys(name, cfg[name])
+            kind = f" ({cfg[name]['kind']})" if "kind" in keys else ""
+            _check_keys(cfg[name], keys, name + kind, f"{name}: {owner}")
     return cfg
 
 
@@ -149,7 +166,7 @@ def dataset_from_task(task, **overrides):
     return _configured("task", _task_generator(task["kind"]), **{**args, **overrides})
 
 
-def split_fractions(train=0.8, val=0.1, test=0.1):
+def split_fractions(train: float = 0.8, val: float = 0.1, test: float = 0.1):
     if min(train, val, test) < 0 or abs(train + val + test - 1.0) > 1e-9:
         raise ConfigError("split fractions must be nonnegative and sum to 1")
     return train, val, test
@@ -362,12 +379,16 @@ def cmd_oracle_verify(cfg_path, out_dir, args):
     return 0
 
 
-def gradcheck(model, n, d, L=1, h=1e-5, loss="mse", seed=0, batch=1):
+def gradcheck(model: dict, n: int, d: int, L: int = 1, h: float = 1e-5,
+              loss: str = "mse", seed: Seed = 0, batch: int = 1):
     """Worst relative error between central differences with step ``h`` and
     the tape gradient, over every parameter of the model block ``model``
     built for (n, d, L) data, through its ``loss`` on one random batch."""
     if h <= 0:
         raise ConfigError(f"gradcheck: step h {h} must be positive")
+    for key, size in (("n", n), ("d", d), ("L", L), ("batch", batch)):
+        if size < 1:
+            raise ConfigError(f"gradcheck: {key} {size} must be positive")
     _configured("gradcheck", TrainConfig(loss=loss).validate)
     net = model_from_config(model, n, d, L)
     rng = np.random.default_rng(seed_chain(seed, 31))
@@ -393,7 +414,7 @@ def _set_path(cfg, dotted, value):
     node = cfg
     for p in parents:
         node = node.get(p)
-        if not isinstance(node, dict):
+        if not has_type(node, dict):
             raise ConfigError(f"sweep grid path {dotted!r} is not a key of a "
                               f"config block")
     node[last] = value
@@ -403,20 +424,24 @@ def _sweep_assignments(cfg):
     """Every ((path, value), ...) assignment of the sweep grid, in order,
     each checked to give a valid trial config."""
     sweep = cfg["sweep"]
-    _check_keys(sweep, (set(), {"grid"}), "sweep")
-    grid = sweep.get("grid")
-    if not isinstance(grid, dict) or not grid:
+    _check_keys(sweep, {"grid": (dict, True)}, "sweep")
+    grid = sweep["grid"]
+    if not grid:
         raise ConfigError("sweep needs a non-empty grid")
     for path, values in grid.items():
-        if not isinstance(values, list) or not values:
+        if not has_type(values, list) or not values:
             raise ConfigError(f"sweep grid {path!r} must be a non-empty list "
                               f"of values")
     paths = sorted(grid)
     assignments = [tuple(zip(paths, combo))
                    for combo in itertools.product(*[grid[p] for p in paths])]
     for assignment in assignments:
-        validate_config(_trial_config(cfg, assignment),
-                        require=("task", "model", "train"))
+        trial = validate_config(_trial_config(cfg, assignment),
+                                require=("task", "model", "train"))
+        # prepare_splits keeps int(count * val) validation sets
+        _train, val, _test = split_fractions(**trial.get("split", {}))
+        if int(trial["task"]["count"] * val) < 1:
+            raise ConfigError("sweep: empty validation split")
     return assignments
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spanlab.nn import LSTMCell, LinearLayer, dropout, seed_chain
+from spanlab.nn import LSTMCell, LinearLayer, Seed, dropout, seed_chain
 from spanlab.perm import PermutationNetwork, _lex_row_order, apply_soft
 from spanlab.tensor import ShapeMismatch, Tensor, read_tensor_blob, write_tensor_blob
 
@@ -57,7 +57,8 @@ def _as_batch(x):
 
 
 def constructor_args(cls):
-    """Names of a model class's constructor arguments: its schema."""
+    """Names of a model class's constructor arguments, whose annotations and
+    defaults make the schema of its config block."""
     return tuple(inspect.signature(cls.__init__).parameters)[1:]
 
 
@@ -128,8 +129,9 @@ class SpanModel(_ModelBase):
     layers = ("pn", "lstm", "readout")
     adversary = ("pn",)
 
-    def __init__(self, n, d, L, hidden=128, tau=0.1, sinkhorn_iters=100,
-                 input_scale=1.0, seed=0, forget_bias=1.0):
+    def __init__(self, n: int, d: int, L: int, hidden: int = 128, tau: float = 0.1,
+                 sinkhorn_iters: int = 100, input_scale: float = 1.0,
+                 seed: Seed = 0, forget_bias: float = 1.0):
         self.pn = PermutationNetwork(d, n, tau, sinkhorn_iters,
                                      seed=seed_chain(seed, 0))
         self.lstm = LSTMCell(d, hidden, seed=seed_chain(seed, 1),
@@ -152,8 +154,9 @@ class SpanNoApnModel(_ModelBase):
     kind = "span-no-apn"
     layers = ("lstm", "readout")
 
-    def __init__(self, n, d, L, hidden=128, input_scale=1.0, seed=0,
-                 forget_bias=1.0):
+    def __init__(self, n: int, d: int, L: int, hidden: int = 128,
+                 input_scale: float = 1.0, seed: Seed = 0,
+                 forget_bias: float = 1.0):
         self.lstm = LSTMCell(d, hidden, seed=seed_chain(seed, 1),
                              forget_bias=forget_bias)
         self.readout = LinearLayer(hidden, L, "none", seed=seed_chain(seed, 2))
@@ -170,8 +173,9 @@ class SpanFcModel(_ModelBase):
     layers = ("pn", "hidden", "readout")
     adversary = ("pn",)
 
-    def __init__(self, n, d, L, width=128, tau=0.1, sinkhorn_iters=100,
-                 input_scale=1.0, seed=0):
+    def __init__(self, n: int, d: int, L: int, width: int = 128, tau: float = 0.1,
+                 sinkhorn_iters: int = 100, input_scale: float = 1.0,
+                 seed: Seed = 0):
         self.pn = PermutationNetwork(d, n, tau, sinkhorn_iters,
                                      seed=seed_chain(seed, 0))
         self.hidden = LinearLayer(n * d, width, "relu", seed=seed_chain(seed, 1))
@@ -195,7 +199,8 @@ class DeepSetsModel(_ModelBase):
     kind = "deepsets"
     layers = ("embed", "post", "readout")
 
-    def __init__(self, d, L, width=128, pooling="sum", dropout_rate=0.0, seed=0):
+    def __init__(self, d: int, L: int, width: int = 128, pooling: str = "sum",
+                 dropout_rate: float = 0.0, seed: Seed = 0):
         if pooling not in ("sum", "max"):
             raise ValueError(f"DeepSetsModel: unknown pooling {pooling!r}")
         dropout(None, dropout_rate, None, training=False)  # rejects a bad rate
@@ -235,7 +240,8 @@ class JanossyModel(_ModelBase):
     kind = "janossy"
     layers = ("inner",)
 
-    def __init__(self, d, L, k, width=128, pooling="sum", dropout_rate=0.0, seed=0):
+    def __init__(self, d: int, L: int, k: int, width: int = 128,
+                 pooling: str = "sum", dropout_rate: float = 0.0, seed: Seed = 0):
         self.inner = DeepSetsModel(d * k, L, width=width, pooling=pooling,
                                    dropout_rate=dropout_rate, seed=seed)
 
@@ -260,8 +266,11 @@ class PiSgdModel(SpanNoApnModel):
 
     kind = "pisgd"
 
-    def __init__(self, n, d, L, hidden=128, permutations=20, input_scale=1.0,
-                 seed=0, forget_bias=1.0):
+    def __init__(self, n: int, d: int, L: int, hidden: int = 128,
+                 permutations: int = 20, input_scale: float = 1.0, seed: Seed = 0,
+                 forget_bias: float = 1.0):
+        if permutations < 1:
+            raise ValueError(f"PiSgdModel: permutations {permutations} must be >= 1")
         super().__init__(n, d, L, hidden, input_scale, seed, forget_bias)
 
     def forward(self, x, training=False, rng=None):

@@ -20,6 +20,7 @@ __all__ = [
     "LSTMCell",
     "LinearLayer",
     "OptimizerState",
+    "Seed",
     "adam_step",
     "clip_global_norm",
     "dropout",
@@ -28,6 +29,9 @@ __all__ = [
 ]
 
 _ACTIVATIONS = ("none", "relu")
+
+# the type of a configured seed: an int, or an int list as seed_chain returns
+Seed = int | list[int]
 
 
 def seed_chain(seed, *tags):

@@ -101,6 +101,14 @@ class PermutationNetwork:
     def __init__(self, d, n, temperature=0.1, iterations=100, seed=0):
         if n < 1:
             raise ShapeMismatch("PermutationNetwork", (d, n))
+        # a bad setting is a plain ValueError, the fault of whoever configured
+        # it; sinkhorn keeps its own DomainErrors for direct callers
+        if temperature <= 0:
+            raise ValueError(f"PermutationNetwork: temperature {temperature} "
+                             f"must be positive")
+        if iterations < 1:
+            raise ValueError(f"PermutationNetwork: iterations {iterations} "
+                             f"must be >= 1")
         self.d = d
         self.n = n
         self.temperature = temperature

@@ -8,8 +8,9 @@ adversarial-permutation ablation, backed by MNIST IDX files or by a
 deterministic synthetic digit encoding.
 
 Every generator is a pure function of its config and seed, and every stored
-label can be re-derived by the matching oracle.  The signature of the
-generator ``TASK_KINDS`` names for a kind is the schema of its config block.
+label can be re-derived by the matching oracle.  The annotated signature of
+the generator ``TASK_KINDS`` names for a kind is the schema of its config
+block: each key's name, default and type.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spanlab.nn import seed_chain
+from spanlab.nn import Seed, seed_chain
 
 __all__ = [
     "Dataset",
@@ -149,7 +150,7 @@ def oracle_kary(x, k):
     return float(sums.max())
 
 
-def gen_kary_distance(n, d, k, count, seed=0):
+def gen_kary_distance(n: int, d: int, k: int, count: int, seed: Seed = 0):
     """Sets drawn from a k-center Gaussian mixture on [1,n]^d (covariance
     10*I), labeled by the exact k-ary distance oracle."""
     if k not in (2, 3):
@@ -182,7 +183,8 @@ def oracle_percentile(x, r):
     return float(np.sort(flat)[rank - 1])
 
 
-def gen_percentile(n, r, count, seed=0, value_range=None):
+def gen_percentile(n: int, r: float, count: int, seed: Seed = 0,
+                   value_range: list[int] | None = None):
     """Sets of n integers uniform on [1, n] (range overridable)."""
     lo, hi = value_range if value_range is not None else (1, n)
     if n < 1 or lo > hi:
@@ -405,8 +407,9 @@ def gen_flow_dataset(graph, subset_size, count, seed):
     return Dataset(header, instances)
 
 
-def gen_maxflow(vertices, edges, count, seed=0, cap_range=(1, 20), subset_size=3,
-                graph_seed=0):
+def gen_maxflow(vertices: int, edges: int, count: int, seed: Seed = 0,
+                cap_range: list[int] = [1, 20], subset_size: int = 3,
+                graph_seed: Seed = 0):
     """Max-flow sets of ``subset_size`` sources on one random digraph with
     ``vertices`` vertices and ``edges`` edges, drawn from ``graph_seed``."""
     graph = gen_flowgraph(vertices, edges, cap_range=cap_range, seed=graph_seed)
@@ -451,7 +454,7 @@ def oracle_top_eigvec(x):
     return power_iteration(x.T @ x)
 
 
-def gen_spiked(n, d, sigma, count, seed=0):
+def gen_spiked(n: int, d: int, sigma: float, count: int, seed: Seed = 0):
     """Rows sampled as z*v + sigma*noise for a planted unit spike v; the
     label is v itself (sign-canonicalized)."""
     if n <= 1 or d < 2 or sigma < 0:
@@ -567,9 +570,10 @@ def gen_biased_maxdigit(images, labels, set_size, count, seed, biased):
     return Dataset(header, instances)
 
 
-def gen_maxdigit(set_size, count, seed=0, biased=False, source="synthetic",
-                 per_class=200, digit_dim=16, noise=0.1, corpus_seed=0,
-                 images_path=None, labels_path=None):
+def gen_maxdigit(set_size: int, count: int, seed: Seed = 0, biased: bool = False,
+                 source: str = "synthetic", per_class: int = 200, digit_dim: int = 16,
+                 noise: float = 0.1, corpus_seed: Seed = 0,
+                 images_path: str | None = None, labels_path: str | None = None):
     """Max-digit sets over ``synthetic_digits`` or MNIST IDX files."""
     if source == "synthetic":
         corpus = synthetic_digits(per_class, digit_dim, noise, corpus_seed)

@@ -173,7 +173,7 @@ class Tensor:
         """Max over an axis; the gradient flows to the first maximal entry."""
         x = self.data
         if axis is None:
-            out = np.max(x)
+            out = np.max(x, keepdims=keepdims)
             flat_idx = int(np.argmax(x))
 
             def vjp(g):

@@ -11,6 +11,9 @@ the batch order comes from stream 7901 of the config seed and the epoch, and
 each step's ``rng`` (dropout masks, pi-SGD's sampled orders) from stream 5501
 and the global batch index, so a checkpoint plus counters resumes exactly,
 and the history.csv beside it supplies the rows trained so far.
+
+``has_type`` is the one rule that judges the type of a config value, for
+``TrainConfig.validate`` and for every block the CLI reads.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import csv
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
+from types import GenericAlias, UnionType
 from typing import get_type_hints
 
 import numpy as np
@@ -33,11 +37,13 @@ __all__ = [
     "TrainingDiverged",
     "batch_loss",
     "batch_loss_value",
+    "has_type",
     "load_history",
     "load_train_checkpoint",
     "save_history",
     "train_span",
     "train_standard",
+    "type_error",
 ]
 
 _LOSS_KINDS = ("mse", "eigvec-cosine", "cross-entropy")
@@ -45,6 +51,31 @@ _LOSS_KINDS = ("mse", "eigvec-cosine", "cross-entropy")
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite or exceeded the divergence limit."""
+
+
+def has_type(value, kind):
+    """Whether a config value has the annotated type ``kind``: ``float``
+    takes an int, no number is a bool and no bool a number, and ``X | Y``,
+    ``list[X]`` and ``None`` read as they do in an annotation."""
+    if isinstance(kind, UnionType):
+        return any(has_type(value, option) for option in kind.__args__)
+    if isinstance(kind, GenericAlias):
+        return isinstance(value, kind.__origin__) and all(
+            has_type(item, kind.__args__[0]) for item in value)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def type_error(owner, values, types):
+    """``"<owner>: <key> must be <type>, not <value!r>"`` for the first of
+    the ``values`` (a dict) that lacks its type in ``types``, or None."""
+    for key, value in values.items():
+        kind = types[key]
+        if not has_type(value, kind):
+            name = kind.__name__ if isinstance(kind, type) else kind
+            return f"{owner}: {key} must be {name}, not {value!r}"
+    return None
 
 
 @dataclass
@@ -62,13 +93,8 @@ class TrainConfig:
     divergence_limit: float = 1e6
 
     def validate(self, example_count=None):
-        for key, kind in get_type_hints(TrainConfig).items():
-            value = getattr(self, key)
-            # a float field takes an int; no numeric field takes a bool
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, float) if kind is float else kind):
-                raise ValueError(
-                    f"TrainConfig: {key} must be {kind.__name__}, not {value!r}")
+        if error := type_error("TrainConfig", vars(self), get_type_hints(TrainConfig)):
+            raise ValueError(error)
         if self.loss not in _LOSS_KINDS:
             raise ValueError(f"TrainConfig: unknown loss {self.loss!r}")
         if self.learner_lr < 0 or self.adversary_lr < 0:

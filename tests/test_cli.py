@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import typing
 
 import numpy as np
 import pytest
@@ -8,17 +9,19 @@ import pytest
 from spanlab.cli import (
     ConfigError,
     dataset_from_task,
+    gradcheck,
     load_config,
     main,
     model_from_config,
     prepare_splits,
+    split_fractions,
     sweep_workers,
     validate_config,
 )
 from spanlab import tasks
 from spanlab.models import MODEL_KINDS
 from spanlab.tasks import TASK_KINDS, load_dataset
-from spanlab.train import load_history
+from spanlab.train import has_type, load_history
 
 
 def write_config(path, cfg):
@@ -136,6 +139,24 @@ class TestConfigValidation:
         cfg["split"] = {"train": 0.9, "val": 0.3, "test": 0.1}
         with pytest.raises(ConfigError):
             prepare_splits(validate_config(cfg))
+
+
+class TestSchema:
+    """Every consumer of a config block annotates each argument, and each
+    default has the type its annotation names."""
+
+    CONSUMERS = ([cls.__init__ for cls in MODEL_KINDS.values()]
+                 + [task_generator(kind) for kind in sorted(TASK_KINDS)]
+                 + [split_fractions, gradcheck])
+
+    @pytest.mark.parametrize("consumer", CONSUMERS,
+                             ids=[c.__qualname__ for c in CONSUMERS])
+    def test_every_argument_is_annotated(self, consumer):
+        types = typing.get_type_hints(consumer)
+        for param in signature_params(consumer, ("self",)):
+            assert param.name in types
+            if param.default is not param.empty:
+                assert has_type(param.default, types[param.name]), param.name
 
 
 class TestPrepareSplits:
@@ -297,6 +318,39 @@ class TestCommands:
                      "--out", str(tmp_path / "sweepout")]) == 2
         assert "empty test split" in capsys.readouterr().err
 
+    def test_sweep_with_empty_validation_split_exits_2_before_any_trial(
+            self, tmp_path, capsys):
+        cfg = small_sweep_config()
+        cfg["split"] = {"train": 0.9, "val": 0.0, "test": 0.1}
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "sweepout"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: sweep: empty validation split\n"
+        assert not out.exists()
+
+
+# (command, block, key, value, message) for a value of the wrong type in each
+# kind of block
+WRONG_TYPES = [
+    ("train", "model", "seed", 1.5,
+     "model: DeepSetsModel: seed must be int | list[int], not 1.5"),
+    ("train", "model", "seed", True,
+     "model: DeepSetsModel: seed must be int | list[int], not True"),
+    ("train", "model", "width", 6.5, "model: DeepSetsModel: width must be int, not 6.5"),
+    ("train", "task", "count", 40.5, "task: gen_percentile: count must be int, not 40.5"),
+    ("gen", "task", "count", 40.5, "task: gen_percentile: count must be int, not 40.5"),
+    ("train", "task", "seed", 1.5,
+     "task: gen_percentile: seed must be int | list[int], not 1.5"),
+    ("train", "task", "r", "50", "task: gen_percentile: r must be float, not '50'"),
+    ("train", "split", "train", "0.8",
+     "split: split_fractions: train must be float, not '0.8'"),
+    ("gradcheck", "gradcheck", "batch", 1.5,
+     "gradcheck: gradcheck: batch must be int, not 1.5"),
+    ("sweep", "sweep", "model.width", [4, 6.5],
+     "model: DeepSetsModel: width must be int, not 6.5"),
+    ("train", "config", "task", 5, "config: task must be dict, not 5"),
+]
+
 
 class TestUserErrorsExit2:
     """A bad config, dataset or checkpoint and a diverged run each exit 2
@@ -410,6 +464,80 @@ class TestUserErrorsExit2:
             f"error: train: TrainConfig: {key} must be {kind}, not {value!r}")
         assert not (tmp_path / "run" / "history.csv").exists()
 
+    @pytest.mark.parametrize("command, block, key, value, message", WRONG_TYPES,
+                             ids=[f"{c}-{b}-{k}-{v!r}" for c, b, k, v, _ in WRONG_TYPES])
+    def test_a_value_of_the_wrong_type_in_any_block(self, tmp_path, capsys, command,
+                                                    block, key, value, message):
+        cfg = dict(small_sweep_config(), split={"train": 0.8, "val": 0.1, "test": 0.1},
+                   gradcheck={"n": 3, "d": 2})
+        if command != "sweep":
+            del cfg["sweep"]
+        if command != "gradcheck":
+            del cfg["gradcheck"]
+        if block == "sweep":
+            cfg["sweep"]["grid"] = {key: value}
+        elif block == "config":
+            cfg[key] = value
+        else:
+            cfg[block][key] = value
+        out = tmp_path / "out"
+        code, err = self.run_main([command, "--config",
+                                   write_config(tmp_path / "cfg.json", cfg),
+                                   "--out", str(out)], capsys)
+        assert code == 2 and err == f"error: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("model", "seed", [1, 2]), ("task", "seed", [5, 3]), ("task", "r", 50),
+        ("model", "dropout_rate", 0), ("split", "train", 1),
+    ])
+    def test_values_that_worked_before_still_work(self, tmp_path, block, key, value):
+        cfg = small_sweep_config()
+        del cfg["sweep"]
+        cfg["split"] = {"train": 0.8, "val": 0.2, "test": 0.0}
+        cfg[block][key] = value
+        if block == "split":
+            cfg["split"].update(val=0, test=0)
+        assert main(["train", "--config", write_config(tmp_path / "cfg.json", cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("block", ["task", "model"])
+    def test_a_kind_that_is_not_a_string(self, tmp_path, capsys, block):
+        cfg = percentile_config(tmp_path)
+        cfg[block]["kind"] = ["percentile"]
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        assert code == 2 and err == f"error: unknown {block} kind ['percentile']"
+
+    def test_a_config_that_is_not_an_object(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "cfg.json", ["task"])
+        code, err = self.run_main(["gen", "--config", cfg_path], capsys)
+        assert code == 2 and err == f"error: config {cfg_path} must be a JSON object"
+
+    @pytest.mark.parametrize("kind, key, message", [
+        ("span", "tau", "temperature 0 must be positive"),
+        ("span", "sinkhorn_iters", "iterations 0 must be >= 1"),
+        ("span-fc", "tau", "temperature 0 must be positive"),
+        ("span-fc", "sinkhorn_iters", "iterations 0 must be >= 1"),
+    ])
+    def test_permutation_network_setting_out_of_range(self, tmp_path, capsys, kind,
+                                                      key, message):
+        cfg = percentile_config(tmp_path)
+        cfg["model"] = dict(MODEL_BLOCKS[kind], kind=kind, **{key: 0})
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        assert code == 2 and err == f"error: model: PermutationNetwork: {message}"
+        assert not (tmp_path / "run" / "history.csv").exists()
+
+    def test_pisgd_without_orders(self, tmp_path, capsys):
+        cfg = percentile_config(tmp_path)
+        cfg["model"] = dict(MODEL_BLOCKS["pisgd"], kind="pisgd", permutations=0)
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        assert code == 2 and err == (
+            "error: model: PiSgdModel: permutations 0 must be >= 1")
+        assert not (tmp_path / "run" / "history.csv").exists()
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "cfg.json", percentile_config(tmp_path))
         code, err = self.run_main(["train", "--config", cfg_path, "--seed", "-1"],
@@ -445,6 +573,10 @@ class TestUserErrorsExit2:
     @pytest.mark.parametrize("block, message", [
         ({"h": 0}, "error: gradcheck: step h 0 must be positive"),
         ({"loss": "mae"}, "error: gradcheck: TrainConfig: unknown loss 'mae'"),
+        ({"batch": 0}, "error: gradcheck: batch 0 must be positive"),
+        ({"n": 0}, "error: gradcheck: n 0 must be positive"),
+        ({"d": 0}, "error: gradcheck: d 0 must be positive"),
+        ({"L": 0}, "error: gradcheck: L 0 must be positive"),
     ])
     def test_gradcheck_bad_value(self, tmp_path, capsys, block, message):
         cfg_path = write_config(tmp_path / "cfg.json", {
@@ -453,6 +585,14 @@ class TestUserErrorsExit2:
         })
         code, err = self.run_main(["gradcheck", "--config", cfg_path], capsys)
         assert code == 2 and err == message
+
+    def test_gradcheck_empty_set_on_a_span_model(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "cfg.json", {
+            "model": {"kind": "span", "hidden": 4, "tau": 1.0, "sinkhorn_iters": 5},
+            "gradcheck": {"n": 0, "d": 2},
+        })
+        code, err = self.run_main(["gradcheck", "--config", cfg_path], capsys)
+        assert code == 2 and err == "error: gradcheck: n 0 must be positive"
 
     def test_diverged_run(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "cfg.json",

@@ -1,6 +1,6 @@
-"""Property tests for the tape's broadcasting rule, gradient pruning and the
-fused Sinkhorn and LSTM ops, Sinkhorn's invariants, and the hardening
-functions."""
+"""Property tests for the tape's broadcasting rule, the backward rules of its
+reductions and shape ops, gradient pruning and the fused Sinkhorn and LSTM
+ops, Sinkhorn's invariants, and the hardening functions."""
 
 import itertools
 
@@ -72,6 +72,98 @@ def test_incompatible_shapes_raise(name, shape_a, shape_b):
         OPS[name](Tensor(np.ones(shape_a)), Tensor(np.ones(shape_b)))
     assert info.value.op == name
     assert info.value.shapes == (shape_a, shape_b)
+
+
+def spread(rng, shape):
+    """Distinct entries in [-2, 2], at least 4/size apart, in random order:
+    every max is strict far beyond the finite-difference step, and no
+    softmax weight falls below exp(-4)."""
+    size = int(np.prod(shape, dtype=np.int64))
+    return (rng.permutation(size) / size - 0.5).reshape(shape) * 4.0
+
+
+def weighted_sum_check(op, x, rng):
+    """Finite-difference error of sum(op(x) * w) for weights w of magnitude
+    0.5 to 2, so that no output's gradient is near zero by chance."""
+    weights = Tensor(operand(rng, op(x).shape))
+    return finite_difference_check(lambda t: (op(t) * weights).sum(), x)
+
+
+REDUCTIONS = {
+    "sum": Tensor.sum,
+    "mean": Tensor.mean,
+    "max": Tensor.max,
+    "logsumexp": Tensor.logsumexp,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(REDUCTIONS)),
+    shape=array_shapes(min_dims=1, max_dims=3, max_side=4),
+    keepdims=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_reduction_gradients_match_finite_differences(name, shape, keepdims,
+                                                      seed, data):
+    # logsumexp always reduces one axis; the others also reduce over all
+    axes = list(range(-len(shape), len(shape)))
+    axis = data.draw(st.sampled_from(axes if name == "logsumexp" else [None, *axes]))
+    rng = np.random.default_rng(seed)
+    x = Tensor(spread(rng, shape))
+    reduce = REDUCTIONS[name]
+    op = lambda t: reduce(t, axis=axis, keepdims=keepdims)  # noqa: E731
+    assert op(x).shape == np.sum(x.data, axis=axis, keepdims=keepdims).shape
+    assert weighted_sum_check(op, x, rng) <= 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=array_shapes(min_dims=2, max_dims=3, max_side=4),
+    target=st.sampled_from(["flat", "reversed", "leading-one"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reshape_and_transpose_gradients_match_finite_differences(shape, target,
+                                                                  seed):
+    size = int(np.prod(shape))
+    new_shape = {"flat": (size,), "reversed": shape[::-1],
+                 "leading-one": (1, size)}[target]
+    rng = np.random.default_rng(seed)
+    x = Tensor(operand(rng, shape))
+    assert weighted_sum_check(lambda t: t.reshape(new_shape), x, rng) <= 1e-6
+    assert weighted_sum_check(lambda t: t.transpose(), x, rng) <= 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.sampled_from([None, 1, 3]),
+    n=st.integers(1, 5),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_permute_rows_gradients_match_finite_differences(batch, n, d, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n, d) if batch is None else (batch, n, d)
+    x = Tensor(operand(rng, shape))
+    perm = (rng.permutation(n) if batch is None
+            else np.stack([rng.permutation(n) for _ in range(batch)]))
+    assert weighted_sum_check(lambda t: t.permute_rows(perm), x, rng) <= 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    d=st.integers(1, 3),
+    count=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gather_rows_gradients_with_repeated_indices(n, d, count, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(operand(rng, (n, d)))
+    picks = rng.integers(0, n, size=count)
+    index = np.concatenate([picks, picks[:1]])  # at least one row twice
+    assert weighted_sum_check(lambda t: t.gather_rows(index), x, rng) <= 1e-6
 
 
 def pruning_graph(rng):

@@ -14,6 +14,7 @@ from spanlab.train import (
     TrainingDiverged,
     batch_loss,
     batch_loss_value,
+    has_type,
     load_history,
     load_train_checkpoint,
     save_history,
@@ -60,6 +61,21 @@ class TestTrainConfig:
 
     def test_a_float_field_takes_an_int(self):
         TrainConfig(learner_lr=1, grad_clip=5, divergence_limit=10).validate()
+
+
+@pytest.mark.parametrize("value, kind, expected", [
+    (1, int, True), (1.0, int, False), (True, int, False),
+    (1, float, True), (1.5, float, True), (False, float, False), ("1", float, False),
+    (True, bool, True), (1, bool, False), ("a", str, True),
+    (None, str | None, True), ("a", str | None, True), (0, str | None, False),
+    (3, int | list[int], True), ([1, 2], int | list[int], True),
+    ([1, 2.5], int | list[int], False), ([True], list[int], False),
+    ((1, 2), list[int], False), ([], list[int], True), ({}, dict, True),
+], ids=repr)
+def test_has_type(value, kind, expected):
+    """The one rule: a float takes an int, no number is a bool and no bool a
+    number, and unions, ``list[X]`` and ``None`` read as in annotations."""
+    assert has_type(value, kind) is expected
 
 
 class TestLosses:
