@@ -438,10 +438,13 @@ def _sweep_assignments(cfg):
     for assignment in assignments:
         trial = validate_config(_trial_config(cfg, assignment),
                                 require=("task", "model", "train"))
-        # prepare_splits keeps int(count * val) validation sets
-        _train, val, _test = split_fractions(**trial.get("split", {}))
-        if int(trial["task"]["count"] * val) < 1:
+        # prepare_splits keeps int(count * val) validation sets and trains on
+        # int(count * train)
+        train, val, _test = split_fractions(**trial.get("split", {}))
+        count = trial["task"]["count"]
+        if int(count * val) < 1:
             raise ConfigError("sweep: empty validation split")
+        train_config_from(trial, example_count=int(count * train))
     return assignments
 
 
@@ -547,7 +550,8 @@ def main(argv=None):
         if args.command == "oracle-verify":
             return cmd_oracle_verify(args.config, None, args)
         cfg = load_config(args.config)
-        if args.seed is not None:
+        if args.seed is not None and has_type(cfg.get("train", {}), dict):
+            # a train block of another type is reported by validate_config
             cfg.setdefault("train", {})["seed"] = args.seed
         # created by the subcommands that write to it
         out_dir = Path(args.out or cfg.get("out_dir") or "spanlab-out")

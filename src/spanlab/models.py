@@ -94,6 +94,13 @@ class _ModelBase:
         return {"kind": self.kind,
                 **{name: getattr(self, name) for name in constructor_args(type(self))}}
 
+    def _check_sizes(self, **sizes):
+        """A size below 1 is a plain ValueError, the fault of whoever
+        configured it."""
+        for name, size in sizes.items():
+            if size < 1:
+                raise ValueError(f"{type(self).__name__}: {name} {size} must be >= 1")
+
     def _parameters_of(self, layers):
         return {f"{layer}.{k}": v for layer in layers
                 for k, v in getattr(self, layer).parameters().items()}
@@ -132,6 +139,7 @@ class SpanModel(_ModelBase):
     def __init__(self, n: int, d: int, L: int, hidden: int = 128, tau: float = 0.1,
                  sinkhorn_iters: int = 100, input_scale: float = 1.0,
                  seed: Seed = 0, forget_bias: float = 1.0):
+        self._check_sizes(hidden=hidden)
         self.pn = PermutationNetwork(d, n, tau, sinkhorn_iters,
                                      seed=seed_chain(seed, 0))
         self.lstm = LSTMCell(d, hidden, seed=seed_chain(seed, 1),
@@ -157,6 +165,7 @@ class SpanNoApnModel(_ModelBase):
     def __init__(self, n: int, d: int, L: int, hidden: int = 128,
                  input_scale: float = 1.0, seed: Seed = 0,
                  forget_bias: float = 1.0):
+        self._check_sizes(hidden=hidden)
         self.lstm = LSTMCell(d, hidden, seed=seed_chain(seed, 1),
                              forget_bias=forget_bias)
         self.readout = LinearLayer(hidden, L, "none", seed=seed_chain(seed, 2))
@@ -176,6 +185,7 @@ class SpanFcModel(_ModelBase):
     def __init__(self, n: int, d: int, L: int, width: int = 128, tau: float = 0.1,
                  sinkhorn_iters: int = 100, input_scale: float = 1.0,
                  seed: Seed = 0):
+        self._check_sizes(width=width)
         self.pn = PermutationNetwork(d, n, tau, sinkhorn_iters,
                                      seed=seed_chain(seed, 0))
         self.hidden = LinearLayer(n * d, width, "relu", seed=seed_chain(seed, 1))
@@ -203,6 +213,7 @@ class DeepSetsModel(_ModelBase):
                  dropout_rate: float = 0.0, seed: Seed = 0):
         if pooling not in ("sum", "max"):
             raise ValueError(f"DeepSetsModel: unknown pooling {pooling!r}")
+        self._check_sizes(width=width)
         dropout(None, dropout_rate, None, training=False)  # rejects a bad rate
         self.embed = LinearLayer(d, width, "relu", seed=seed_chain(seed, 0))
         self.post = LinearLayer(width, width, "relu", seed=seed_chain(seed, 1))
@@ -242,6 +253,7 @@ class JanossyModel(_ModelBase):
 
     def __init__(self, d: int, L: int, k: int, width: int = 128,
                  pooling: str = "sum", dropout_rate: float = 0.0, seed: Seed = 0):
+        self._check_sizes(k=k, width=width)
         self.inner = DeepSetsModel(d * k, L, width=width, pooling=pooling,
                                    dropout_rate=dropout_rate, seed=seed)
 
@@ -269,8 +281,7 @@ class PiSgdModel(SpanNoApnModel):
     def __init__(self, n: int, d: int, L: int, hidden: int = 128,
                  permutations: int = 20, input_scale: float = 1.0, seed: Seed = 0,
                  forget_bias: float = 1.0):
-        if permutations < 1:
-            raise ValueError(f"PiSgdModel: permutations {permutations} must be >= 1")
+        self._check_sizes(permutations=permutations)
         super().__init__(n, d, L, hidden, input_scale, seed, forget_bias)
 
     def forward(self, x, training=False, rng=None):

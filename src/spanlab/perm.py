@@ -6,7 +6,9 @@ it sharpens toward a permutation matrix as tau shrinks.  With a fixed round
 count the output is only near that polytope: each round ends with the column
 step, so columns sum to 1 and rows only approach 1.  The permutation
 network maps a set to per-input logits whose Sinkhorn image acts as a soft
-permutation.  One convention holds throughout: row i of P is slot i, so
+permutation.  Each set stops its rounds once its log-state repeats, bit for
+bit, which leaves every value and gradient as the full round count gives
+them.  One convention holds throughout: row i of P is slot i, so
 ``apply_soft`` returns P X, and a hard permutation is an index array ``pi``
 with ``np.eye(n)[pi] @ x == x[pi]`` (slot i reads source ``pi[i]``).  Hard
 matchings (Hungarian, greedy rounding) return such arrays, for validation and
@@ -24,7 +26,6 @@ from spanlab.tensor import (
     Tensor,
     _active_tape,
     _record,
-    _unbroadcast,
 )
 
 __all__ = [
@@ -34,6 +35,11 @@ __all__ = [
     "hard_match",
     "sinkhorn",
 ]
+
+
+# rounds between repeat checks: a set whose log-state equals, bit for bit, its
+# state PERIOD rounds earlier repeats with a period dividing PERIOD from then on
+PERIOD = 4
 
 
 def sinkhorn(logits, temperature, iterations):
@@ -51,8 +57,17 @@ def sinkhorn(logits, temperature, iterations):
     ``mul`` by a constant, then per half-round ``x - x.logsumexp(axis,
     keepdims=True)``, then ``exp``, and the VJP adds each half-round's two
     contributions in the order the tape would for that composition of ops,
-    so values and gradients are bit-identical to it.  The half-round outputs
-    are kept only while a tape is recording.
+    so values and gradients are bit-identical to it.
+
+    Rounds stop per set once its state repeats.  Every ``PERIOD`` rounds
+    each set still iterating is compared, bit for bit, with its state
+    ``PERIOD`` rounds earlier.  A round reads no other set, so a set that
+    repeats is periodic: it runs the ``(iterations - r) % PERIOD`` rounds
+    that bring it to the state the full count would end in, and leaves the
+    batch.  Results are bit-identical to running every round.  While a tape
+    records, the half-round outputs of the sets still iterating are kept;
+    the VJP replays every round, reading an exited set's later half-rounds
+    from its last ``PERIOD`` rounds.
     """
     if temperature <= 0.0:
         raise DomainError(f"sinkhorn: temperature {temperature} must be positive")
@@ -67,26 +82,85 @@ def sinkhorn(logits, temperature, iterations):
         raise DomainError("sinkhorn: logits must be finite")
 
     factor = float(1.0 / temperature)
-    x = logits.data * factor
+    x = (logits.data * factor).reshape((-1,) + shape[-2:])
+    count = len(x)
     taped = _active_tape() is not None
-    steps = []  # (half-round output, shape of its log-normalizer)
-    for _ in range(iterations):
+    final = None  # the last log-state of each set, once one leaves early
+    live = np.arange(count)  # the sets still iterating, rows of x
+    stop = np.full(count, iterations)  # the round after which each set leaves
+    next_stop = iterations
+    earlier = x  # the state of x PERIOD rounds ago, at the last check
+    steps = []  # (half-round output of the live sets, live)
+    for r in range(1, iterations + 1):
         # normalize across columns (unit row sums), then across rows
         for axis in (-1, -2):
             m = np.max(x, axis=axis, keepdims=True)
             lse = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
             x = x - lse
             if taped:
-                steps.append((x, lse.shape))
-    out = np.exp(x)
+                steps.append((x, live))
+        if r % PERIOD == 0 and r < iterations:
+            repeat = _repeats(x, earlier)
+            if repeat.any():
+                stop[live[repeat]] = r + (iterations - r) % PERIOD
+                next_stop = stop[live].min()
+            earlier = x
+        if r == next_stop:
+            leave = stop[live] == r
+            if leave.all():
+                break
+            if final is None:
+                final = np.empty_like(x)  # x still holds every set
+            final[live[leave]] = x[leave]
+            stay = ~leave
+            live, x, earlier = live[stay], x[stay], earlier[stay]
+            next_stop = stop[live].min()
+    if final is not None:
+        final[live] = x
+        x = final
+    out = np.exp(x).reshape(shape)
+    batch = x.shape
 
     def vjp(g):
-        g = out * g
-        for y, shape in reversed(steps):
-            g = g + np.exp(y) * _unbroadcast(-g, shape)
-        return factor * g
+        g = (out * g).reshape(batch)
+        window = 2 * PERIOD
+        exited = stop < iterations
+        # the half-round from which each set's exp is read from cycle
+        first = np.where(exited, 2 * stop - window, 2 * iterations)
+        if exited.any():
+            # each exited set's last PERIOD rounds, by half-round mod window
+            cycle = np.empty((window,) + batch)
+            for s in set(stop[exited].tolist()):
+                sets = np.flatnonzero(stop == s)
+                for k in range(2 * s - window, 2 * s):
+                    y, rows = steps[k]
+                    cycle[k % window, sets] = np.exp(y[np.searchsorted(rows, sets)])
+        lead = int(first.min())  # before it every set is live and stored
+        for k in reversed(range(2 * iterations)):
+            if k < lead:
+                e = np.exp(steps[k][0])
+            elif k < len(steps):
+                y, rows = steps[k]
+                fresh = first[rows] > k
+                cycle[k % window, rows[fresh]] = np.exp(y[fresh])
+                e = cycle[k % window]
+            else:
+                e = cycle[k % window]
+            g = g + e * np.sum(-g, axis=2 - k % 2, keepdims=True)
+        return factor * g.reshape(shape)
 
     return _record("sinkhorn", (logits,), out, (vjp,))
+
+
+def _repeats(x, earlier):
+    """Which sets of ``x`` equal ``earlier`` bit for bit.  One entry is
+    compared first, so a batch where nothing repeats pays little; bits, not
+    values, because ``==`` takes -0.0 for 0.0."""
+    now, then = x.view(np.int64), earlier.view(np.int64)
+    same = now[:, 0, 0] == then[:, 0, 0]
+    if same.any():
+        same[same] = (now[same] == then[same]).all(axis=(1, 2))
+    return same
 
 
 class PermutationNetwork:

@@ -328,6 +328,18 @@ class TestCommands:
         assert capsys.readouterr().err == "error: sweep: empty validation split\n"
         assert not out.exists()
 
+    def test_sweep_with_a_training_split_below_the_batch_exits_2_before_any_trial(
+            self, tmp_path, capsys):
+        cfg = small_sweep_config()
+        cfg["split"] = {"train": 0.4, "val": 0.5, "test": 0.1}
+        cfg["sweep"] = {"grid": {"task.count": [40, 12]}}
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "sweepout"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: train: TrainConfig: batch size 8 exceeds dataset size 4\n")
+        assert not out.exists()
+
 
 # (command, block, key, value, message) for a value of the wrong type in each
 # kind of block
@@ -537,6 +549,31 @@ class TestUserErrorsExit2:
         assert code == 2 and err == (
             "error: model: PiSgdModel: permutations 0 must be >= 1")
         assert not (tmp_path / "run" / "history.csv").exists()
+
+    @pytest.mark.parametrize("kind, key", [
+        ("span", "hidden"), ("span-no-apn", "hidden"), ("pisgd", "hidden"),
+        ("span-fc", "width"), ("deepsets", "width"), ("janossy", "width"),
+        ("janossy", "k"),
+    ])
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_model_size_below_one(self, tmp_path, capsys, kind, key, size):
+        cfg = percentile_config(tmp_path)
+        cfg["model"] = dict(MODEL_BLOCKS[kind], kind=kind, **{key: size})
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        owner = MODEL_KINDS[kind].__name__
+        assert code == 2 and err == f"error: model: {owner}: {key} {size} must be >= 1"
+        assert not (tmp_path / "run" / "history.csv").exists()
+
+    def test_seed_flag_with_a_train_block_that_is_not_an_object(self, tmp_path,
+                                                                capsys):
+        cfg = percentile_config(tmp_path)
+        cfg["train"] = 5
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        code, err = self.run_main(["train", "--config", cfg_path, "--seed", "3"],
+                                  capsys)
+        assert code == 2 and err == "error: config: train must be dict, not 5"
+        assert not (tmp_path / "run").exists()
 
     def test_negative_seed_flag(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "cfg.json", percentile_config(tmp_path))

@@ -6,6 +6,7 @@ import pytest
 
 from spanlab import perm as perm_module
 from spanlab.models import SpanModel
+from spanlab.nn import xavier_init
 from spanlab.perm import (
     PermutationNetwork,
     apply_soft,
@@ -155,6 +156,30 @@ def value_and_gradient(fn, logits, probe, temperature, iterations):
     return out.data, tape.gradient(loss, [x])[0].data
 
 
+def span_paper_logits(seed, count):
+    """Logits as the span-paper permutation network makes them, relu(x w),
+    for ``count`` percentile sets (n=20, d=1, integers 1..20 at input scale
+    0.05) and a Xavier weight."""
+    x = np.random.default_rng(seed).integers(1, 21, size=(count, 20, 1)) * 0.05
+    return np.maximum(x @ xavier_init((1, 20), seed).data, 0.0)
+
+
+def first_repeat(logits, temperature, iterations):
+    """(r, p) for one set: the first round r, a multiple of ``PERIOD``, whose
+    log-state equals, bit for bit, the state ``PERIOD`` rounds earlier, and the
+    least period p of the states from there on; (None, None) if no round by
+    ``iterations`` repeats."""
+    x = logits * (1.0 / temperature)
+    states = [x.tobytes()]
+    for r in range(1, iterations + 1):
+        for axis in (-1, -2):
+            x = x - Tensor(x).logsumexp(axis=axis, keepdims=True).data
+        states.append(x.tobytes())
+        if r % perm_module.PERIOD == 0 and states[r] == states[r - perm_module.PERIOD]:
+            return r, min(p for p in (1, 2, 4) if states[r] == states[r - p])
+    return None, None
+
+
 def spy_sinkhorn_vjp(monkeypatch):
     """The names of the ops whose VJP the tape ran, one per run, for every
     sinkhorn op recorded from here on."""
@@ -200,6 +225,27 @@ class TestFusedSinkhorn:
         assert fused[0].tobytes() == reference[0].tobytes()
         assert fused[1].tobytes() == reference[1].tobytes()
 
+    @pytest.mark.parametrize("iterations", [100, 101, 102, 103])
+    def test_bit_identical_where_sets_repeat_at_different_rounds(self, iterations):
+        logits = span_paper_logits(17, 16)
+        repeats = [first_repeat(set_logits, 0.1, 100) for set_logits in logits]
+        rounds = [r for r, _p in repeats if r is not None]
+        # sets that repeat early, late, with a period above 1, and never
+        assert min(rounds) <= 24 and max(rounds) >= 40
+        assert any(p > 1 for _r, p in repeats if p is not None)
+        assert any(r is None for r, _p in repeats)
+        probe = np.random.default_rng(18).normal(size=logits.shape)
+        fused = value_and_gradient(sinkhorn, logits, probe, 0.1, iterations)
+        reference = value_and_gradient(unrolled_sinkhorn, logits, probe, 0.1,
+                                       iterations)
+        assert fused[0].tobytes() == reference[0].tobytes()
+        assert fused[1].tobytes() == reference[1].tobytes()
+        # a set's rounds never read its batch-mates
+        for b in range(len(logits)):
+            alone = value_and_gradient(sinkhorn, logits[b], probe[b], 0.1, iterations)
+            assert alone[0].tobytes() == fused[0][b].tobytes()
+            assert alone[1].tobytes() == fused[1][b].tobytes()
+
     def test_gradient_matches_finite_differences_on_a_batch(self):
         rng = np.random.default_rng(14)
         logits = Tensor(rng.normal(size=(3, 4, 4)))
@@ -236,6 +282,28 @@ class TestFusedSinkhorn:
         # a few working arrays, against those plus 40 half-round outputs
         assert untaped_bytes < 10 * logits.nbytes
         assert taped_bytes > 40 * logits.nbytes
+
+    def test_a_taped_forward_keeps_only_the_sets_still_iterating(self):
+        logits = span_paper_logits(17, 16)
+        x = Tensor(logits)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with GradTape() as tape:
+                loss = sinkhorn(x, temperature=0.1, iterations=100).sum()
+            taped_bytes = tracemalloc.get_traced_memory()[1] - before
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.gradient(loss, [x])
+            backward_bytes = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # every half-round of every set would take 200 times the logits; the
+        # sets here leave by round 40, but for one that never repeats
+        assert taped_bytes < 100 * logits.nbytes
+        # the backward adds the exited sets' last PERIOD rounds, 8 half-rounds,
+        # and a few transients, not a copy of the tape
+        assert backward_bytes < 20 * logits.nbytes
 
     def test_learner_gradient_never_runs_the_sinkhorn_vjp(self, monkeypatch):
         runs = spy_sinkhorn_vjp(monkeypatch)
