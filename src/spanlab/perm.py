@@ -67,7 +67,9 @@ def sinkhorn(logits, temperature, iterations):
     batch.  Results are bit-identical to running every round.  While a tape
     records, the half-round outputs of the sets still iterating are kept;
     the VJP replays every round, reading an exited set's later half-rounds
-    from its last ``PERIOD`` rounds.
+    from its last ``PERIOD`` rounds.  Without a tape the rounds overwrite
+    their working arrays in place, so a call allocates a few batch-sized
+    arrays whatever its round count.
     """
     if temperature <= 0.0:
         raise DomainError(f"sinkhorn: temperature {temperature} must be positive")
@@ -89,22 +91,30 @@ def sinkhorn(logits, temperature, iterations):
     live = np.arange(count)  # the sets still iterating, rows of x
     stop = np.full(count, iterations)  # the round after which each set leaves
     next_stop = iterations
-    earlier = x  # the state of x PERIOD rounds ago, at the last check
+    # untaped, x and earlier are working arrays that every round overwrites
+    earlier = x if taped else x.copy()  # the state of x at the last check
+    work = np.empty_like(x)  # exp(x - max) of the live sets, every half-round
     steps = []  # (half-round output of the live sets, live)
     for r in range(1, iterations + 1):
         # normalize across columns (unit row sums), then across rows
         for axis in (-1, -2):
-            m = np.max(x, axis=axis, keepdims=True)
-            lse = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-            x = x - lse
-            if taped:
+            m = np.maximum.reduce(x, axis=axis, keepdims=True)
+            e = np.exp(np.subtract(x, m, out=work), out=work)
+            lse = m + np.log(np.add.reduce(e, axis=axis, keepdims=True))
+            if taped:  # the VJP reads every half-round output
+                x = x - lse
                 steps.append((x, live))
+            else:
+                np.subtract(x, lse, out=x)
         if r % PERIOD == 0 and r < iterations:
             repeat = _repeats(x, earlier)
             if repeat.any():
                 stop[live[repeat]] = r + (iterations - r) % PERIOD
                 next_stop = stop[live].min()
-            earlier = x
+            if taped:
+                earlier = x
+            else:
+                earlier[...] = x
         if r == next_stop:
             leave = stop[live] == r
             if leave.all():
@@ -114,6 +124,7 @@ def sinkhorn(logits, temperature, iterations):
             final[live[leave]] = x[leave]
             stay = ~leave
             live, x, earlier = live[stay], x[stay], earlier[stay]
+            work = work[:len(x)]
             next_stop = stop[live].min()
     if final is not None:
         final[live] = x

@@ -246,6 +246,18 @@ class TestFusedSinkhorn:
             assert alone[0].tobytes() == fused[0][b].tobytes()
             assert alone[1].tobytes() == fused[1][b].tobytes()
 
+    @pytest.mark.parametrize("iterations", [20, 100, 103])
+    def test_an_untaped_forward_matches_the_taped_one(self, iterations):
+        # the untaped rounds overwrite their state in place; the taped ones
+        # keep every half-round, so the two must agree bit for bit
+        logits = span_paper_logits(17, 16)
+        given = logits.copy()
+        taped = value_and_gradient(sinkhorn, logits, np.ones(logits.shape), 0.1,
+                                   iterations)[0]
+        assert sinkhorn(logits, 0.1, iterations).data.tobytes() == taped.tobytes()
+        assert sinkhorn(logits[3], 0.1, iterations).data.tobytes() == taped[3].tobytes()
+        assert logits.tobytes() == given.tobytes()
+
     def test_gradient_matches_finite_differences_on_a_batch(self):
         rng = np.random.default_rng(14)
         logits = Tensor(rng.normal(size=(3, 4, 4)))
