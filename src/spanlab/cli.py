@@ -213,6 +213,9 @@ def prepare_splits(cfg):
 def model_from_config(model_cfg, n, d, label_dim):
     """The configured model, given the data's dimensions where its
     constructor takes them."""
+    if model_cfg["kind"] == "janossy" and model_cfg["k"] > n:
+        raise ConfigError(f"model: JanossyModel: k {model_cfg['k']} exceeds "
+                          f"the set size n {n}")
     cls = MODEL_KINDS[model_cfg["kind"]]
     dims = dict(zip(_DATA_DIMS, (n, d, label_dim)))
     args = {k: v for k, v in dims.items() if k in constructor_args(cls)}
@@ -369,7 +372,7 @@ def cmd_eval(cfg, out_dir, args):
 def cmd_oracle_verify(cfg_path, out_dir, args):
     # the config argument points straight at a dataset file
     dataset = load_dataset(cfg_path)
-    failures = oracle_verify(dataset)
+    failures = oracle_verify(dataset, cfg_path)
     if failures:
         for f in failures[:10]:
             print(f"oracle-verify: FAIL {f}", file=sys.stderr)
@@ -498,15 +501,8 @@ def cmd_sweep(cfg, out_dir, args):
         results = [_run_sweep_trial(p) for p in payloads]
 
     best = min(results, key=lambda r: r["val_loss"])
-    summary = {
-        "trials": [
-            {"assignment": [list(a) for a in r["assignment"]],
-             "val_loss": r["val_loss"], "out_dir": r["out_dir"]}
-            for r in results
-        ],
-        "best": {"assignment": [list(a) for a in best["assignment"]],
-                 "val_loss": best["val_loss"], "out_dir": best["out_dir"]},
-    }
+    listed = lambda r: {**r, "assignment": [list(a) for a in r["assignment"]]}
+    summary = {"trials": [listed(r) for r in results], "best": listed(best)}
     (out_dir / "sweep_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n"
     )

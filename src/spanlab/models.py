@@ -361,6 +361,7 @@ def load_checkpoint(directory, model=None):
     try:
         manifest = json.loads(manifest_path.read_text())
         built = build_model(manifest["model"])
+        tensors, extra = manifest["tensors"], manifest["extra"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{directory}: unusable manifest.json: {exc}") from exc
     model = model or built
@@ -368,7 +369,7 @@ def load_checkpoint(directory, model=None):
         raise CheckpointError(f"{directory}: holds a {built.spec()} model, "
                               f"not the given {model.spec()}")
     params = model.parameters()
-    if sorted(params.keys()) != manifest["tensors"]:
+    if sorted(params.keys()) != tensors:
         raise CheckpointError(f"{directory}: tensor list mismatch")
     for name, tensor in params.items():
         arr = read_tensor_blob(directory / f"{name}.sptn")
@@ -378,4 +379,4 @@ def load_checkpoint(directory, model=None):
                 f"expected {tensor.data.shape}"
             )
         tensor.data = arr
-    return model, manifest["extra"]
+    return model, extra

@@ -226,9 +226,8 @@ def apply_soft(p, x):
         p = Tensor(p)
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    if p.ndim != x.ndim or p.shape[-1] != p.shape[-2] or p.shape[-2] != x.shape[-2]:
-        raise ShapeMismatch("apply_soft", p.shape, x.shape)
-    if x.ndim not in (2, 3):
+    if p.ndim != x.ndim or x.ndim not in (2, 3) or p.shape[-1] != p.shape[-2] \
+            or p.shape[-2] != x.shape[-2]:
         raise ShapeMismatch("apply_soft", p.shape, x.shape)
     order = _lex_row_order(x.data)
     return p.transpose().permute_rows(order).transpose() @ x.permute_rows(order)
@@ -248,13 +247,11 @@ def hard_match(score):
     optimal-completion checks.
     """
     score = score.data if isinstance(score, Tensor) else np.asarray(score, float)
-    if score.ndim != 2 or score.shape[0] != score.shape[1]:
+    if score.ndim != 2 or score.shape[0] != score.shape[1] or score.size == 0:
         raise ShapeMismatch("hard_match", score.shape)
     if not np.isfinite(score).all():
         raise DomainError("hard_match: scores must be finite")
     n = score.shape[0]
-    if n == 0:
-        raise ShapeMismatch("hard_match", score.shape)
     pi = _hungarian_max(score)
     best = _match_weight(score, pi)
 

@@ -92,8 +92,9 @@ def save_dataset(path, dataset):
 
 
 def load_dataset(path):
-    """Read a dataset written by ``save_dataset``; a malformed line raises
-    TaskError naming the file and the line number."""
+    """Read a dataset written by ``save_dataset``; a malformed line or a
+    header that is not an object raises TaskError naming the file and the
+    line number."""
     header, instances = None, []
     with open(path) as fh:
         for lineno, ln in enumerate(fh, 1):
@@ -102,6 +103,8 @@ def load_dataset(path):
             try:
                 rec = json.loads(ln)
                 if header is None:
+                    if not isinstance(rec, dict):
+                        raise ValueError("the header is not a JSON object")
                     header = rec
                     continue
                 instances.append(SetInstance(
@@ -596,58 +599,67 @@ TASK_KINDS = {"kary": "gen_kary_distance", "percentile": "gen_percentile",
 # oracle verification
 
 
-def oracle_verify(dataset):
+def oracle_verify(dataset, source="dataset"):
     """Re-derive every label from its oracle; returns a list of failure
-    descriptions (empty list means the dataset verifies)."""
+    descriptions (empty list means the dataset verifies).  A header that
+    lacks a parameter of its task, or a record the oracle cannot read, raises
+    TaskError naming ``source`` and the header or record."""
     task = dataset.header.get("task")
     failures = []
-    if task == "kary":
-        k = dataset.header["k"]
-        for i, inst in enumerate(dataset.instances):
-            expect = oracle_kary(inst.elements, k)
-            if expect != inst.label[0]:
-                failures.append(f"record {i}: kary label {inst.label[0]} != {expect}")
-    elif task == "percentile":
-        r = dataset.header["r"]
-        for i, inst in enumerate(dataset.instances):
-            expect = oracle_percentile(inst.elements, r)
-            if expect != inst.label[0]:
-                failures.append(
-                    f"record {i}: percentile label {inst.label[0]} != {expect}"
-                )
-    elif task == "maxflow":
-        graph = FlowGraph(
-            vertices=dataset.header["vertices"],
-            edges=[tuple(e) for e in dataset.header["edges"]],
-            sink=dataset.header["sink"],
-        )
-        for i, inst in enumerate(dataset.instances):
-            subset = np.nonzero(inst.elements[:, : graph.vertices] == 1.0)[1]
-            expect = float(oracle_maxflow(graph, subset))
-            if expect != inst.label[0]:
-                failures.append(
-                    f"record {i}: maxflow label {inst.label[0]} != {expect}"
-                )
-    elif task == "spiked":
-        for i, inst in enumerate(dataset.instances):
-            est = oracle_top_eigvec(inst.elements)
-            cos = abs(float(est @ inst.label)) / (
-                np.linalg.norm(est) * np.linalg.norm(inst.label)
+    i = None  # the record being checked
+    try:
+        if task == "kary":
+            k = dataset.header["k"]
+            for i, inst in enumerate(dataset.instances):
+                expect = oracle_kary(inst.elements, k)
+                if expect != inst.label[0]:
+                    failures.append(
+                        f"record {i}: kary label {inst.label[0]} != {expect}")
+        elif task == "percentile":
+            r = dataset.header["r"]
+            for i, inst in enumerate(dataset.instances):
+                expect = oracle_percentile(inst.elements, r)
+                if expect != inst.label[0]:
+                    failures.append(
+                        f"record {i}: percentile label {inst.label[0]} != {expect}"
+                    )
+        elif task == "maxflow":
+            graph = FlowGraph(
+                vertices=dataset.header["vertices"],
+                edges=[tuple(e) for e in dataset.header["edges"]],
+                sink=dataset.header["sink"],
             )
-            if cos < 0.99:
-                failures.append(f"record {i}: spike alignment |cos|={cos:.4f} < 0.99")
-    elif task == "maxdigit":
-        for i, inst in enumerate(dataset.instances):
-            if inst.digits is None:
-                failures.append(f"record {i}: missing digit annotations")
-                continue
-            top = max(inst.digits)
-            expect = np.zeros(10)
-            expect[top] = 1.0
-            if not np.array_equal(inst.label, expect):
-                failures.append(f"record {i}: label is not one-hot of max digit")
-            if dataset.header.get("biased") and inst.digits[-1] != top:
-                failures.append(f"record {i}: biased set lacks max digit last")
-    else:
-        failures.append(f"unknown task kind {task!r}")
+            for i, inst in enumerate(dataset.instances):
+                subset = np.nonzero(inst.elements[:, : graph.vertices] == 1.0)[1]
+                expect = float(oracle_maxflow(graph, subset))
+                if expect != inst.label[0]:
+                    failures.append(
+                        f"record {i}: maxflow label {inst.label[0]} != {expect}"
+                    )
+        elif task == "spiked":
+            for i, inst in enumerate(dataset.instances):
+                est = oracle_top_eigvec(inst.elements)
+                cos = abs(float(est @ inst.label)) / (
+                    np.linalg.norm(est) * np.linalg.norm(inst.label)
+                )
+                if not cos >= 0.99:  # a NaN alignment fails too
+                    failures.append(
+                        f"record {i}: spike alignment |cos|={cos:.4f} < 0.99")
+        elif task == "maxdigit":
+            for i, inst in enumerate(dataset.instances):
+                if inst.digits is None:
+                    failures.append(f"record {i}: missing digit annotations")
+                    continue
+                top = max(inst.digits)
+                expect = np.zeros(10)
+                expect[top] = 1.0
+                if not np.array_equal(inst.label, expect):
+                    failures.append(f"record {i}: label is not one-hot of max digit")
+                if dataset.header.get("biased") and inst.digits[-1] != top:
+                    failures.append(f"record {i}: biased set lacks max digit last")
+        else:
+            failures.append(f"unknown task kind {task!r}")
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        where = "header" if i is None else f"record {i}"
+        raise TaskError(f"{source}: {where}: malformed: {exc!r}") from exc
     return failures

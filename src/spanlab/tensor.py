@@ -1,25 +1,27 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-Every differentiable computation in this package (layers, losses) is built
-from the primitives here, except the two fused ops: ``spanlab.perm.sinkhorn``
-and ``spanlab.nn.LSTMCell.run`` are each one op of their own, recorded
-through ``_record`` with VJPs that replay their rounds or steps, so a
-span-desk forward and loss record 15 tape entries where the same arithmetic
-as primitive ops recorded 414.  Ops record on the active ``GradTape`` one
-vector-Jacobian product (VJP) per input, which maps the output's gradient to
-that input's contribution.  ``GradTape.gradient`` is the only way back: it
-replays the VJPs in reverse order, pruned to the work its sources need,
-running an op's VJP for input ``i`` only when that input is a source or
-depends on one.  Pruning keeps the bits, because every consumer of a tensor
-that depends on a source depends on it too, so each such tensor receives the
-same contributions in the same order as in a full replay.  Elementwise ops
-broadcast by NumPy's rule, and each operand's gradient is summed back over
-the axes it was broadcast along; shapes that do not broadcast raise
-``ShapeMismatch``.  A Python or NumPy scalar operand is a constant 0-d
-``Tensor`` under the same rule, so ``x - 1.0`` records one ``sub`` and ``-x``
-is ``0.0 - x``.  An operand array of rank 1 or more raises ``ShapeMismatch``
-on either side of an operator, because ``Tensor`` opts out of NumPy's ufunc
-dispatch.
+The engine holds the ops a model, a loss or ``gradcheck`` records: ``add``,
+``sub``, ``mul``, ``div``, ``matmul`` and ``relu``; the reductions ``sum``
+and ``mean``, and ``max`` and ``logsumexp`` over one given axis; and
+``reshape``, ``transpose``, ``permute_rows`` and ``gather_rows``.  The two
+fused ops, ``spanlab.perm.sinkhorn`` and ``spanlab.nn.LSTMCell.run``, are
+each one op of their own, recorded through ``_record`` with VJPs that replay
+their rounds or steps, so a span-desk forward and loss record 15 tape entries
+where the same arithmetic as primitive ops recorded 414.  Ops record on the
+active ``GradTape`` one vector-Jacobian product (VJP) per input, which maps
+the output's gradient to that input's contribution.  ``GradTape.gradient`` is
+the only way back: it replays the VJPs in reverse order, pruned to the work
+its sources need, running an op's VJP for input ``i`` only when that input is
+a source or depends on one.  Pruning keeps the bits, because every consumer
+of a tensor that depends on a source depends on it too, so each such tensor
+receives the same contributions in the same order as in a full replay.
+Elementwise ops broadcast by NumPy's rule, and each operand's gradient is
+summed back over the axes it was broadcast along; shapes that do not
+broadcast raise ``ShapeMismatch``.  A Python or NumPy scalar operand is a
+constant 0-d ``Tensor`` under the same rule, so ``x - 1.0`` records one
+``sub`` and ``-x`` is ``0.0 - x``.  An operand array of rank 1 or more raises
+``ShapeMismatch`` on either side of an operator, because ``Tensor`` opts out
+of NumPy's ufunc dispatch.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "ShapeMismatch",
     "DomainError",
     "TapeError",
-    "concat",
     "finite_difference_check",
     "read_tensor_blob",
     "write_tensor_blob",
@@ -140,20 +141,6 @@ class Tensor:
         return _record("relu", (self,), np.maximum(x, 0.0),
                        (lambda g: (x > 0.0) * g,))
 
-    def sigmoid(self):
-        out = _sigmoid_values(self.data)
-        return _record("sigmoid", (self,), out,
-                       (lambda g: out * (1.0 - out) * g,))
-
-    def tanh(self):
-        out = np.tanh(self.data)
-        return _record("tanh", (self,), out,
-                       (lambda g: (1.0 - out * out) * g,))
-
-    def exp(self):
-        out = np.exp(self.data)
-        return _record("exp", (self,), out, (lambda g: out * g,))
-
     # -- reductions -------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -169,27 +156,17 @@ class Tensor:
         return _record("mean", (self,), out,
                        (lambda g: _spread(g, shape, axis, keepdims) / count,))
 
-    def max(self, axis=None, keepdims=False):
-        """Max over an axis; the gradient flows to the first maximal entry."""
+    def max(self, axis, keepdims=False):
+        """Max over one axis; the gradient flows to the first maximal entry."""
         x = self.data
-        if axis is None:
-            out = np.max(x, keepdims=keepdims)
-            flat_idx = int(np.argmax(x))
+        out = np.max(x, axis=axis, keepdims=keepdims)
+        idx = np.expand_dims(np.argmax(x, axis=axis), axis)
 
-            def vjp(g):
-                grad = np.zeros_like(x)
-                grad.reshape(-1)[flat_idx] = np.asarray(g).reshape(())
-                return grad
-
-        else:
-            out = np.max(x, axis=axis, keepdims=keepdims)
-            idx = np.expand_dims(np.argmax(x, axis=axis), axis)
-
-            def vjp(g):
-                grad = np.zeros_like(x)
-                gg = g if keepdims else np.expand_dims(g, axis)
-                np.put_along_axis(grad, idx, gg, axis=axis)
-                return grad
+        def vjp(g):
+            grad = np.zeros_like(x)
+            gg = g if keepdims else np.expand_dims(g, axis)
+            np.put_along_axis(grad, idx, gg, axis=axis)
+            return grad
 
         return _record("max", (self,), out, (vjp,))
 
@@ -223,21 +200,6 @@ class Tensor:
         return _record("transpose", (self,), np.swapaxes(self.data, -1, -2),
                        (lambda g: np.swapaxes(g, -1, -2),))
 
-    def slice(self, axis, start, stop):
-        """Contiguous sub-tensor along one axis."""
-        shape = self.shape
-        if not (0 <= start <= stop <= shape[axis]):
-            raise ShapeMismatch("slice", shape, (axis, start, stop))
-        index = _axis_slice(len(shape), axis, start, stop)
-        out = self.data[index].copy()
-
-        def vjp(g):
-            grad = np.zeros(shape)
-            grad[index] = g
-            return grad
-
-        return _record("slice", (self,), out, (vjp,))
-
     def permute_rows(self, perm):
         """Reorder rows by a permutation (per batch element for rank 3).
 
@@ -267,12 +229,6 @@ class Tensor:
             return grad
 
         return _record("gather_rows", (self,), x[idx], (vjp,))
-
-
-def _axis_slice(rank, axis, start, stop):
-    return tuple(
-        slice(start, stop) if a == axis else slice(None) for a in range(rank)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -365,37 +321,6 @@ def _matmul(a, b):
         lambda g: g @ np.swapaxes(db, -1, -2),
         lambda g: _unbroadcast(np.swapaxes(da, -1, -2) @ g, db.shape),
     ))
-
-
-def concat(tensors, axis):
-    """Concatenate tensors along an existing axis."""
-    tensors = tuple(tensors)
-    if not tensors:
-        raise ShapeMismatch("concat", ())
-    base = tensors[0].shape
-    for t in tensors[1:]:
-        s = t.shape
-        if len(s) != len(base) or any(
-            s[i] != base[i] for i in range(len(base)) if i != axis
-        ):
-            raise ShapeMismatch("concat", base, s)
-    bounds = np.cumsum([0] + [t.shape[axis] for t in tensors])
-
-    def piece(lo, hi):
-        return lambda g: np.ascontiguousarray(np.split(g, (lo, hi), axis=axis)[1])
-
-    return _record("concat", tensors,
-                   np.concatenate([t.data for t in tensors], axis=axis),
-                   tuple(piece(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])))
-
-
-def _sigmoid_values(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def _spread(g, shape, axis, keepdims):

@@ -55,8 +55,9 @@ class TrainingDiverged(RuntimeError):
 
 def has_type(value, kind):
     """Whether a config value has the annotated type ``kind``: ``float``
-    takes an int, no number is a bool and no bool a number, and ``X | Y``,
-    ``list[X]`` and ``None`` read as they do in an annotation."""
+    takes an int but not NaN or an infinity, no number is a bool and no bool
+    a number, and ``X | Y``, ``list[X]`` and ``None`` read as they do in an
+    annotation."""
     if isinstance(kind, UnionType):
         return any(has_type(value, option) for option in kind.__args__)
     if isinstance(kind, GenericAlias):
@@ -64,6 +65,8 @@ def has_type(value, kind):
             has_type(item, kind.__args__[0]) for item in value)
     if isinstance(value, bool):
         return kind is bool
+    if isinstance(value, float) and not np.isfinite(value):
+        return False  # JSON's NaN and Infinity
     return isinstance(value, (int, float) if kind is float else kind)
 
 

@@ -233,20 +233,37 @@ def test_criterion_5_structural_invariance():
 # criterion 6/7: desk-scale learning and the trained invariance statistic
 
 
-@pytest.fixture(scope="module")
-def percentile_run():
+def train_percentile_span(s):
+    """The span model of criteria 6 and 7 trained at seed ``s``, with the
+    training and test datasets.  It takes model seed s, coarse stream seed s
+    and fine stream seed s+1, so s = 0 is the ``percentile_run`` fixture;
+    ``tools/seed_spread.py`` runs other seeds."""
     train_ds = gen_percentile(n=20, r=50, count=2000, seed=1)
     test_ds = gen_percentile(n=20, r=50, count=500, seed=2)
-
-    start = time.time()
     span = SpanModel(n=20, d=1, L=1, hidden=48, tau=0.1, sinkhorn_iters=20,
-                     input_scale=0.05, seed=0)
+                     input_scale=0.05, seed=s)
     coarse = TrainConfig(loss="mse", learner_lr=2e-3, adversary_lr=2e-3,
-                         batch_size=32, outer_iters=4000, seed=0)
+                         batch_size=32, outer_iters=4000, seed=s)
     train_span(span, train_ds.instances, coarse)
     fine = TrainConfig(loss="mse", learner_lr=5e-4, adversary_lr=5e-4,
-                       batch_size=32, outer_iters=1500, seed=1)
+                       batch_size=32, outer_iters=1500, seed=s + 1)
     train_span(span, train_ds.instances, fine)
+    return span, train_ds, test_ds
+
+
+def criterion_7_deltas(model, test_instances):
+    """Criterion 7's statistic: Δ of ``model`` on the first 200 test sets."""
+    rng = np.random.default_rng(23)
+    return np.array([
+        invariance_delta(model, inst.elements, rng=rng).value
+        for inst in test_instances[:200]
+    ])
+
+
+@pytest.fixture(scope="module")
+def percentile_run():
+    start = time.time()
+    span, train_ds, test_ds = train_percentile_span(0)
     span_seconds = time.time() - start
     span_err = average_relative_error(span, test_ds.instances)
 
@@ -283,12 +300,7 @@ def test_criterion_6_desk_scale_learning(percentile_run):
 
 
 def test_criterion_7_trained_invariance(percentile_run):
-    r = percentile_run
-    rng = np.random.default_rng(23)
-    deltas = np.array([
-        invariance_delta(r["span"], inst.elements, rng=rng).value
-        for inst in r["test"][:200]
-    ])
+    deltas = criterion_7_deltas(percentile_run["span"], percentile_run["test"])
     frac = float(np.mean(deltas <= 1e-2))
     report("7 (trained)", frac >= 0.90,
            f"trained model: Δ ≤ 1e-2 on {frac:.1%} of test sets "

@@ -218,6 +218,13 @@ class TestCommands:
         assert main(["oracle-verify", "--config",
                      str(out / "dataset.jsonl")]) == 1
 
+    def test_oracle_verify_fails_a_spike_of_nan_alignment(self, tmp_path, capsys):
+        dataset = dataset_from_task(TASK_BLOCKS["spiked"])
+        dataset.instances[0].label[:] = np.nan
+        tasks.save_dataset(tmp_path / "dataset.jsonl", dataset)
+        assert main(["oracle-verify", "--config", str(tmp_path / "dataset.jsonl")]) == 1
+        assert "record 0: spike alignment |cos|=nan" in capsys.readouterr().err
+
     def test_train_writes_artifacts(self, tmp_path):
         cfg = percentile_config(tmp_path)
         cfg_path = write_config(tmp_path / "cfg.json", cfg)
@@ -361,6 +368,19 @@ WRONG_TYPES = [
     ("sweep", "sweep", "model.width", [4, 6.5],
      "model: DeepSetsModel: width must be int, not 6.5"),
     ("train", "config", "task", 5, "config: task must be dict, not 5"),
+    # JSON's NaN and Infinity are floats that no float key takes
+    ("train", "train", "learner_lr", float("nan"),
+     "train: TrainConfig: learner_lr must be float, not nan"),
+    ("gen", "task", "r", float("inf"),
+     "task: gen_percentile: r must be float, not inf"),
+    ("train", "model", "dropout_rate", float("-inf"),
+     "model: DeepSetsModel: dropout_rate must be float, not -inf"),
+    ("train", "split", "val", float("nan"),
+     "split: split_fractions: val must be float, not nan"),
+    ("gradcheck", "gradcheck", "h", float("inf"),
+     "gradcheck: gradcheck: h must be float, not inf"),
+    ("sweep", "sweep", "train.learner_lr", [1e-3, float("nan")],
+     "train: TrainConfig: learner_lr must be float, not nan"),
 ]
 
 
@@ -715,6 +735,48 @@ class TestUserErrorsExit2:
         code, err = self.run_main(["eval", "--config", cfg_path,
                                    "--checkpoint", str(ckpt)], capsys)
         assert code == 2 and "manifest.json" in err
+
+    @pytest.mark.parametrize("key", ["tensors", "extra"])
+    def test_eval_checkpoint_whose_manifest_lacks_a_key(self, tmp_path, capsys, key):
+        cfg_path = write_config(tmp_path / "cfg.json", percentile_config(tmp_path))
+        assert main(["train", "--config", cfg_path]) == 0
+        ckpt = tmp_path / "run" / "checkpoint"
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        del manifest[key]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code, err = self.run_main(["eval", "--config", cfg_path,
+                                   "--checkpoint", str(ckpt)], capsys)
+        assert code == 2 and err == f"error: {ckpt}: unusable manifest.json: {key!r}"
+
+    @pytest.mark.parametrize("command, n", [("train", 8), ("gradcheck", 3)])
+    def test_janossy_tuples_larger_than_the_set(self, tmp_path, capsys, command, n):
+        cfg = dict(percentile_config(tmp_path), gradcheck={"n": 3, "d": 1})
+        cfg["model"] = dict(MODEL_BLOCKS["janossy"], kind="janossy", k=9)
+        code, err = self.run_main(
+            [command, "--config", write_config(tmp_path / "cfg.json", cfg)], capsys)
+        assert code == 2 and err == (
+            f"error: model: JanossyModel: k 9 exceeds the set size n {n}")
+        assert not (tmp_path / "run" / "history.csv").exists()
+
+    @pytest.mark.parametrize("kind, spoil, where", [
+        ("percentile", lambda lines: lines.__setitem__(0, ["percentile"]), ":1:"),
+        ("kary", lambda lines: lines[0].pop("k"), ": header:"),
+        ("maxflow", lambda lines: lines[0].pop("edges"), ": header:"),
+        ("percentile", lambda lines: lines[1].update(label=lines[1]["label"][0]),
+         ": record 0:"),
+        ("maxdigit", lambda lines: lines[1].update(digits=[]), ": record 0:"),
+    ], ids=["header-not-an-object", "kary-without-k", "maxflow-without-edges",
+            "bare-number-label", "empty-digits"])
+    def test_oracle_verify_malformed_dataset(self, tmp_path, capsys, kind, spoil,
+                                             where):
+        data = tmp_path / "dataset.jsonl"
+        tasks.save_dataset(data, dataset_from_task(TASK_BLOCKS[kind]))
+        lines = [json.loads(line) for line in data.read_text().splitlines()]
+        spoil(lines)
+        data.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        code, err = self.run_main(["oracle-verify", "--config", str(data)], capsys)
+        assert code == 2 and err.startswith(f"error: {data}{where}")
 
     def test_oracle_verify_malformed_jsonl(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "cfg.json", {

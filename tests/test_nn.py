@@ -18,10 +18,11 @@ from spanlab.tensor import (
     GradTape,
     ShapeMismatch,
     Tensor,
-    concat,
     finite_difference_check,
 )
 from spanlab.train import batch_loss
+
+from reference_ops import concat, sigmoid, slice_axis, tanh
 
 
 class TestXavierInit:
@@ -142,18 +143,18 @@ def unrolled_lstm(cell, sequence):
     h = Tensor(np.zeros((batch, cell.hidden_dim)))
     c = Tensor(np.zeros((batch, cell.hidden_dim)))
     for t in range(steps):
-        x_t = sequence.slice(1, t, t + 1).reshape((batch, cell.input_dim))
+        x_t = slice_axis(sequence, 1, t, t + 1).reshape((batch, cell.input_dim))
         z = concat([x_t, h], axis=1)
 
         def gate(name):
             return z @ cell.weights[name] + cell.biases[name]
 
-        i = gate("i").sigmoid()
-        f = gate("f").sigmoid()
-        o = gate("o").sigmoid()
-        g = gate("g").tanh()
+        i = sigmoid(gate("i"))
+        f = sigmoid(gate("f"))
+        o = sigmoid(gate("o"))
+        g = tanh(gate("g"))
         c = f * c + i * g
-        h = o * c.tanh()
+        h = o * tanh(c)
     return h
 
 

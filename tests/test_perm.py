@@ -23,6 +23,8 @@ from spanlab.tensor import (
 )
 from spanlab.train import batch_loss
 
+from reference_ops import exp
+
 
 def brute_force_match_weight(score):
     """Independent oracle: max over all n! permutations of the matching
@@ -143,7 +145,7 @@ def unrolled_sinkhorn(logits, temperature, iterations):
     for _ in range(iterations):
         log_p = log_p - log_p.logsumexp(axis=-1, keepdims=True)
         log_p = log_p - log_p.logsumexp(axis=-2, keepdims=True)
-    return log_p.exp()
+    return exp(log_p)
 
 
 def value_and_gradient(fn, logits, probe, temperature, iterations):

@@ -18,9 +18,9 @@ from spanlab.tensor import (  # noqa: E402
     GradTape,
     ShapeMismatch,
     Tensor,
-    concat,
     finite_difference_check,
 )
+from reference_ops import concat, exp, sigmoid, slice_axis, tanh  # noqa: E402
 from test_nn import fused_lstm, lstm_value_and_gradients, unrolled_lstm  # noqa: E402
 from test_perm import unrolled_sinkhorn, value_and_gradient  # noqa: E402
 
@@ -107,9 +107,10 @@ REDUCTIONS = {
 )
 def test_reduction_gradients_match_finite_differences(name, shape, keepdims,
                                                       seed, data):
-    # logsumexp always reduces one axis; the others also reduce over all
+    # max and logsumexp always reduce one axis; sum and mean also over all
     axes = list(range(-len(shape), len(shape)))
-    axis = data.draw(st.sampled_from(axes if name == "logsumexp" else [None, *axes]))
+    axis = data.draw(st.sampled_from(
+        axes if name in ("max", "logsumexp") else [None, *axes]))
     rng = np.random.default_rng(seed)
     x = Tensor(spread(rng, shape))
     reduce = REDUCTIONS[name]
@@ -173,10 +174,10 @@ def pruning_graph(rng):
     w = Tensor(rng.normal(size=(4, 5)))
     b = Tensor(rng.normal(size=(5,)))
     c = Tensor(rng.uniform(0.5, 2.0, size=(2, 5)))
-    h = (x @ w + b).tanh()
-    z = concat([h, c.sigmoid()], axis=0).permute_rows([4, 0, 3, 1, 2])
+    h = tanh(x @ w + b)
+    z = concat([h, sigmoid(c)], axis=0).permute_rows([4, 0, 3, 1, 2])
     s = z.logsumexp(axis=1) - z.max(axis=1)
-    u = (h / c.sum(axis=0)).relu().exp().slice(1, 0, 3).gather_rows([2, 0, 2])
+    u = slice_axis(exp((h / c.sum(axis=0)).relu()), 1, 0, 3).gather_rows([2, 0, 2])
     v = (x.transpose() @ h).reshape((20,)).mean(axis=0, keepdims=True)
     loss = (s * s).sum() + u.mean() - v.sum() * x.sum()
     return [x, w, b, c, h, z], loss
