@@ -210,12 +210,24 @@ def prepare_splits(cfg):
     )
 
 
-def model_from_config(model_cfg, n, d, label_dim):
-    """The configured model, given the data's dimensions where its
-    constructor takes them."""
+def _check_janossy_k(model_cfg, n):
+    """Reject a janossy block whose tuples are longer than a set of size n."""
     if model_cfg["kind"] == "janossy" and model_cfg["k"] > n:
         raise ConfigError(f"model: JanossyModel: k {model_cfg['k']} exceeds "
                           f"the set size n {n}")
+
+
+def _set_size(task):
+    """The set size of a task block's sets, read without generating them."""
+    key = {"maxflow": "subset_size", "maxdigit": "set_size"}.get(task["kind"], "n")
+    return task.get(key, inspect.signature(
+        _task_generator(task["kind"])).parameters[key].default)
+
+
+def model_from_config(model_cfg, n, d, label_dim):
+    """The configured model, given the data's dimensions where its
+    constructor takes them."""
+    _check_janossy_k(model_cfg, n)
     cls = MODEL_KINDS[model_cfg["kind"]]
     dims = dict(zip(_DATA_DIMS, (n, d, label_dim)))
     args = {k: v for k, v in dims.items() if k in constructor_args(cls)}
@@ -350,6 +362,7 @@ def cmd_gen(cfg, out_dir, args):
 
 def cmd_train(cfg, out_dir, args):
     validate_config(cfg, require=("task", "model", "train"))
+    train_config_from(cfg)
     write_manifest(out_dir, "train", cfg)
     model, history, _val = run_training(cfg, out_dir)
     final = history[-1].batch_loss if history else float("nan")
@@ -448,6 +461,7 @@ def _sweep_assignments(cfg):
         if int(count * val) < 1:
             raise ConfigError("sweep: empty validation split")
         train_config_from(trial, example_count=int(count * train))
+        _check_janossy_k(trial["model"], _set_size(trial["task"]))
     return assignments
 
 

@@ -169,12 +169,13 @@ class LSTMCell:
 
 
 def _sigmoid_values(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic sigmoid of an array, without masks and bit-identical to the
+    two-branch form: 1/(1+exp(-x)) for x >= 0 (-0.0 included), where
+    -|x| is exactly -x, and exp(x)/(1+exp(x)) for x < 0, where -|x| is
+    exactly x.  exp(-|x|) <= 1 cannot overflow; underflow gives 1.0 or
+    0.0 as before, and NaN stays NaN."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _lstm_sweep(states, weights, width, dh):

@@ -109,6 +109,8 @@ class TrainConfig:
         for key in ("grad_clip", "seed", "checkpoint_every"):
             if getattr(self, key) < 0:
                 raise ValueError(f"TrainConfig: {key} must be nonnegative")
+        if self.divergence_limit <= 0:
+            raise ValueError("TrainConfig: divergence_limit must be positive")
         if example_count is not None and example_count < self.batch_size:
             raise ValueError(
                 f"TrainConfig: batch size {self.batch_size} exceeds "

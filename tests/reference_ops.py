@@ -4,19 +4,31 @@
 write the fused LSTM and Sinkhorn as compositions of tape ops, which the
 fused ops must match bit for bit in value and gradient.  Besides the
 engine's ops the compositions need these five, recorded through
-``spanlab.tensor._record``.  They trust their arguments: ``slice_axis``
-takes a non-negative axis and bounds within it, and ``concat`` operands
-that agree off ``axis``.
+``spanlab.tensor._record``.  ``sigmoid`` has its own two-branch masked
+formula, so the fused LSTM's gate sigmoid is checked against it and not
+against itself.  They trust their arguments: ``slice_axis`` takes a
+non-negative axis and bounds within it, and ``concat`` operands that agree
+off ``axis``.
 """
 
 import numpy as np
 
 from spanlab import tensor
-from spanlab.nn import _sigmoid_values
+
+
+def sigmoid_values(x):
+    """Logistic sigmoid of an array, branch by branch: 1/(1+exp(-x)) where
+    x >= 0 and exp(x)/(1+exp(x)) elsewhere, so no exp can overflow."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def sigmoid(x):
-    out = _sigmoid_values(x.data)
+    out = sigmoid_values(x.data)
     return tensor._record("sigmoid", (x,), out, (lambda g: out * (1.0 - out) * g,))
 
 

@@ -657,6 +657,15 @@ class TestUserErrorsExit2:
         code, err = self.run_main(["train", "--config", cfg_path], capsys)
         assert code == 2 and "outer iteration 1" in err
 
+    @pytest.mark.parametrize("limit", [0, -1.0])
+    def test_divergence_limit_not_positive(self, tmp_path, capsys, limit):
+        cfg_path = write_config(tmp_path / "cfg.json",
+                                percentile_config(tmp_path, divergence_limit=limit))
+        code, err = self.run_main(["train", "--config", cfg_path], capsys)
+        assert code == 2 and err == (
+            "error: train: TrainConfig: divergence_limit must be positive")
+        assert not (tmp_path / "run").exists()
+
     def test_diverged_run_keeps_its_history(self, tmp_path, capsys):
         # with lr 1e-3 the third batch loss (21.4) is the first above 21
         full_cfg = percentile_config(tmp_path / "full")
@@ -758,6 +767,31 @@ class TestUserErrorsExit2:
         assert code == 2 and err == (
             f"error: model: JanossyModel: k 9 exceeds the set size n {n}")
         assert not (tmp_path / "run" / "history.csv").exists()
+
+    @pytest.mark.parametrize("task, grid", [
+        ({"kind": "percentile", "n": 6, "r": 50}, {"task.n": [6, 3]}),
+        ({"kind": "kary", "n": 6, "d": 2, "k": 2}, {"task.n": [6, 3]}),
+        ({"kind": "spiked", "n": 6, "d": 2, "sigma": 0.1}, {"task.n": [6, 3]}),
+        ({"kind": "maxflow", "vertices": 10, "edges": 25},
+         {"task.subset_size": [5, 3]}),
+        ({"kind": "maxflow", "vertices": 10, "edges": 25}, {"model.width": [8, 16]}),
+        ({"kind": "maxdigit", "set_size": 6, "per_class": 5},
+         {"task.set_size": [6, 3]}),
+    ], ids=["percentile", "kary", "spiked", "maxflow", "maxflow-default-size",
+            "maxdigit"])
+    def test_sweep_janossy_tuples_larger_than_a_trial_set(self, tmp_path, capsys,
+                                                          task, grid):
+        cfg = small_sweep_config()
+        cfg["task"] = dict(task, count=40, seed=5)
+        cfg["model"] = dict(MODEL_BLOCKS["janossy"], kind="janossy", k=4)
+        cfg["sweep"] = {"grid": grid}
+        out = tmp_path / "sweepout"
+        code, err = self.run_main(["sweep", "--config",
+                                   write_config(tmp_path / "cfg.json", cfg),
+                                   "--out", str(out)], capsys)
+        assert code == 2 and err == (
+            "error: model: JanossyModel: k 4 exceeds the set size n 3")
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind, spoil, where", [
         ("percentile", lambda lines: lines.__setitem__(0, ["percentile"]), ":1:"),

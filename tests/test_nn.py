@@ -22,7 +22,7 @@ from spanlab.tensor import (
 )
 from spanlab.train import batch_loss
 
-from reference_ops import concat, sigmoid, slice_axis, tanh
+from reference_ops import concat, sigmoid, sigmoid_values, slice_axis, tanh
 
 
 class TestXavierInit:
@@ -198,6 +198,67 @@ def spy_lstm_vjps(monkeypatch):
     return runs, sweeps
 
 
+def assert_fused_lstm_is_unrolled(batch, steps, width, hidden, forget_bias=1.0,
+                                  seed=0):
+    rng = np.random.default_rng([batch, steps, hidden])
+    cell = LSTMCell(width, hidden, seed=seed, forget_bias=forget_bias)
+    sequence = rng.normal(size=(batch, steps, width))
+    probe = rng.normal(size=(batch, hidden))
+    probe[0] = -0.0  # signed zeros reach every gradient of one set
+    fused = lstm_value_and_gradients(fused_lstm, cell, sequence, probe)
+    reference = lstm_value_and_gradients(unrolled_lstm, cell, sequence, probe)
+    assert len(fused) == 10
+    for got, want in zip(fused, reference):
+        assert got.tobytes() == want.tobytes()
+
+
+class TestSigmoidValues:
+    """The fused LSTM's gate sigmoid against the reference's two-branch
+    masked formula, bit for bit."""
+
+    EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+             1e-300, -1e-300, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0, 7.3, -7.3,
+             36.0, -36.0, 37.5, -37.5,
+             *(s * v for s in (1.0, -1.0)
+               for v in (708.0, 709.0, 709.5, 709.78, 710.0, 744.0, 744.44,
+                         745.0, 745.13, 745.2, 746.0, 800.0, 1e308))]
+
+    def assert_same(self, x):
+        got, want = nn_module._sigmoid_values(x), sigmoid_values(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_edge_values(self):
+        self.assert_same(np.array(self.EDGES))
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 5.0, 30.0, 800.0])
+    def test_normal_draws(self, scale):
+        rng = np.random.default_rng(int(scale * 1000))
+        self.assert_same(rng.normal(scale=scale, size=(64, 48)))
+
+    @pytest.mark.parametrize("length", range(1, 18))
+    def test_every_simd_tail_length(self, length):
+        rng = np.random.default_rng(length)
+        values = np.concatenate([self.EDGES, rng.normal(scale=10.0, size=64)])
+        rng.shuffle(values)
+        for start in range(0, len(values) - length + 1, length):
+            self.assert_same(values[start:start + length])
+
+    def test_strided_column_view(self):
+        rng = np.random.default_rng(3)
+        block = rng.normal(scale=8.0, size=(33, 7))
+        block[:len(self.EDGES), 2] = self.EDGES[:33]
+        column = block[:, 2]
+        assert not column.flags.c_contiguous
+        self.assert_same(column)
+
+    def test_nan_stays_nan(self):
+        x = np.array([np.nan, -np.nan, 1.0, np.nan, -2.0])
+        got = nn_module._sigmoid_values(x)
+        assert np.isnan(got).tolist() == [True, True, False, True, False]
+        assert got[[2, 4]].tobytes() == sigmoid_values(x[[2, 4]]).tobytes()
+
+
 class TestFusedLSTM:
     @pytest.mark.parametrize("forget_bias", [0.0, 1.0])
     @pytest.mark.parametrize("hidden", [1, 4])
@@ -205,16 +266,17 @@ class TestFusedLSTM:
     @pytest.mark.parametrize("batch", [1, 3])
     def test_bit_identical_to_the_unrolled_composition(self, batch, steps, hidden,
                                                       forget_bias):
-        rng = np.random.default_rng([batch, steps, hidden])
-        cell = LSTMCell(2, hidden, seed=steps, forget_bias=forget_bias)
-        sequence = rng.normal(size=(batch, steps, 2))
-        probe = rng.normal(size=(batch, hidden))
-        probe[0] = -0.0  # signed zeros reach every gradient of one set
-        fused = lstm_value_and_gradients(fused_lstm, cell, sequence, probe)
-        reference = lstm_value_and_gradients(unrolled_lstm, cell, sequence, probe)
-        assert len(fused) == 10
-        for got, want in zip(fused, reference):
-            assert got.tobytes() == want.tobytes()
+        assert_fused_lstm_is_unrolled(batch, steps, 2, hidden, forget_bias,
+                                      seed=steps)
+
+    @pytest.mark.parametrize("steps, width, hidden", [
+        (20, 1, 48),   # the desk percentile model
+        (20, 1, 128),  # the paper-default percentile model
+        (4, 16, 32),   # the max-digit model
+    ])
+    def test_bit_identical_at_workload_shapes(self, steps, width, hidden):
+        """Batch 32, where BLAS and the SIMD loops take their wide paths."""
+        assert_fused_lstm_is_unrolled(32, steps, width, hidden)
 
     def test_sequence_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(15)
