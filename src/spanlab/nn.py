@@ -173,7 +173,7 @@ def _sigmoid_values(x):
     two-branch form: 1/(1+exp(-x)) for x >= 0 (-0.0 included), where
     -|x| is exactly -x, and exp(x)/(1+exp(x)) for x < 0, where -|x| is
     exactly x.  exp(-|x|) <= 1 cannot overflow; underflow gives 1.0 or
-    0.0 as before, and NaN stays NaN."""
+    0.0 as in the two-branch form, and NaN stays NaN."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 

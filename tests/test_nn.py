@@ -247,7 +247,7 @@ class TestSigmoidValues:
     def test_strided_column_view(self):
         rng = np.random.default_rng(3)
         block = rng.normal(scale=8.0, size=(33, 7))
-        block[:len(self.EDGES), 2] = self.EDGES[:33]
+        block[:, 2] = self.EDGES[:len(block)]
         column = block[:, 2]
         assert not column.flags.c_contiguous
         self.assert_same(column)
